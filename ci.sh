@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Tier-1 verify + perf smoke for psga.
 #
-#   ./ci.sh            build, run the full ctest suite, rebuild the
-#                      cache/async/sweep/service suites under
+#   ./ci.sh            build, run the full ctest suite, repeat the
+#                      service/dispatch/session tests 20 times in
+#                      parallel (the flake leg), rebuild the
+#                      cache/async/sweep/service/golden-trace suites under
 #                      ASan/UBSan and run them, run a psga_sweep smoke
 #                      sweep (JSONL + summary validated), run a psgad
 #                      service smoke (submit/watch/cancel/drain over a
@@ -10,17 +12,19 @@
 #                      replanning trace, SLO met, transcript hash stable
 #                      across two runs), emit a fresh bench JSON snapshot
 #                      (bench_micro_decoders + bench_micro_cache +
-#                      bench_session_latency merged), diff it against the
+#                      bench_micro_operators + bench_session_latency
+#                      merged), diff it against the
 #                      committed BENCH_micro.json (per-bench deltas),
 #                      then refresh the snapshot
 #   SKIP_BENCH=1 ./ci.sh        tests only
 #   SKIP_SAN=1 ./ci.sh          skip the sanitizer leg
 #   SKIP_BENCH_DIFF=1 ./ci.sh   snapshot without the regression gate
-#   BENCH_TOLERANCE=0.25        decode-bench regression threshold (fraction)
+#   BENCH_TOLERANCE=0.25        decode/operator-bench regression threshold
+#                               (fraction)
 #
 # The JSON snapshot gives future PRs a perf trajectory: the diff prints
 # the per-benchmark change vs the committed baseline and FAILS when any
-# decode bench regresses by more than BENCH_TOLERANCE (default 25%)
+# decode or operator bench regresses by more than BENCH_TOLERANCE (default 25%)
 # beyond the suite-wide median drift (shared-host slowdowns move every
 # bench together and are not regressions).
 # Snapshots carry a psga_build_type context stamp and are refused
@@ -36,10 +40,19 @@ cmake -B "$BUILD_DIR" -S .
 cmake --build "$BUILD_DIR" -j "$JOBS"
 (cd "$BUILD_DIR" && ctest --output-on-failure -j "$JOBS")
 
+# Flake leg: the service, dispatch and session suites race real sockets,
+# worker threads and wall-clock budgets. Run them 20 times, in parallel,
+# so a timing-dependent test fails here rather than in one run out of
+# many.
+(cd "$BUILD_DIR" && ctest --output-on-failure -j "$JOBS" \
+   -R 'Service\.|Dispatch\.|Session' --repeat until-fail:20)
+
 # Sanitizer leg: the cache/async suites stress a double-buffered pipeline
 # (coordinator threads writing objective slots the engine thread reads
-# after the fence) and the sweep suite races whole solver runs across
-# lanes, so run exactly those binaries under ASan/UBSan.
+# after the fence), the sweep suite races whole solver runs across
+# lanes, and the golden-trace suite drives the crossovers' per-thread
+# scratch from several threads, so run exactly those binaries under
+# ASan/UBSan.
 if [[ "${SKIP_SAN:-0}" != "1" ]]; then
   SAN_DIR=${SAN_DIR:-build-asan}
   cmake -B "$SAN_DIR" -S . -DPSGA_SANITIZE=ON \
@@ -466,6 +479,38 @@ PYEOF
     rm -f "$CACHE_FRESH"
   fi
 
+  # Operator snapshot: the breed layer's crossover, mutation and
+  # selection kernels. Medians-of-5 ride into BENCH_micro.json under the
+  # same >25% drift-normalised regression gate as the decoders.
+  if [[ -x "$BUILD_DIR/bench_micro_operators" ]] \
+     && command -v python3 >/dev/null; then
+    OPS_FRESH=$(mktemp /tmp/psga_bench_ops.XXXXXX.json)
+    "$BUILD_DIR"/bench_micro_operators \
+      --benchmark_filter='^BM_(Crossover|Mutation|Selection)/' \
+      --benchmark_min_time=0.05 \
+      --benchmark_repetitions=5 \
+      --benchmark_report_aggregates_only=true \
+      --benchmark_format=json \
+      --benchmark_out="$OPS_FRESH" \
+      --benchmark_out_format=json >/dev/null
+    python3 - "$FRESH" "$OPS_FRESH" <<'PYEOF'
+import json
+import sys
+
+with open(sys.argv[1]) as f:
+    merged = json.load(f)
+with open(sys.argv[2]) as f:
+    operators = json.load(f)["benchmarks"]
+medians = [b for b in operators if b.get("aggregate_name") == "median"]
+for b in medians:
+    b["name"] = b["name"].removesuffix("_median")
+merged["benchmarks"].extend(medians)
+with open(sys.argv[1], "w") as f:
+    json.dump(merged, f, indent=1)
+PYEOF
+    rm -f "$OPS_FRESH"
+  fi
+
   # Session event-latency snapshot: bench_session_latency reports the
   # per-event replan p95 (manual time) for warm and cold sessions over a
   # fixed seeded trace. Medians-of-5 ride into BENCH_micro.json like the
@@ -624,7 +669,7 @@ drift = max(drift, 1.0)
 
 width = max((len(n) for n in fresh), default=20)
 print(f"\n-- bench deltas vs committed BENCH_micro.json "
-      f"(host drift x{drift:.2f}; gate: decode benches "
+      f"(host drift x{drift:.2f}; gate: decode/operator benches "
       f"> {tolerance:.0%} slower than drift fail)")
 failures = []
 for name, bench in fresh.items():
@@ -635,12 +680,14 @@ for name, bench in fresh.items():
     delta = bench["real_time"] / old["real_time"] - 1.0
     normalized = bench["real_time"] / old["real_time"] / drift - 1.0
     # The regression gate covers the decoder benches (the evaluation hot
-    # path this snapshot exists to guard) plus the session event-latency
-    # p95s; *_Scratch twins included.
+    # path this snapshot exists to guard), the breed-layer operator
+    # benches and the session event-latency p95s; *_Scratch twins
+    # included.
     gated = any(tag in name for tag in
                 ("Decode", "SemiActive", "GifflerThompson", "Makespan",
                  "Flexible", "LotStreaming", "OpenShop", "HybridFlowShop",
-                 "SessionEvent"))
+                 "SessionEvent", "BM_Crossover/", "BM_Mutation/",
+                 "BM_Selection/"))
     marker = ""
     if only and name not in only:
         gated = False
@@ -657,7 +704,7 @@ with open(sys.argv[3], "w") as f:
     for name, delta in failures:
         f.write(f"{name}\n")
 if failures:
-    print(f"\nci.sh: {len(failures)} decode bench(es) regressed more than "
+    print(f"\nci.sh: {len(failures)} gated bench(es) regressed more than "
           f"{tolerance:.0%} beyond the suite-wide drift")
 print()
 PYEOF
@@ -705,6 +752,19 @@ PYEOF
             --benchmark_out="$SES_RETRY" \
             --benchmark_out_format=json >/dev/null
         fi
+        # The operator benches live in their own binary too.
+        if grep -qE '^BM_(Crossover|Mutation|Selection)/' "$GATE_FAILS" \
+           && [[ -x "$BUILD_DIR/bench_micro_operators" ]]; then
+          OPS_RETRY=$(mktemp "/tmp/psga_bench_oretry.${attempt}.XXXXXX.json")
+          RETRY_FILES+=("$OPS_RETRY")
+          "$BUILD_DIR"/bench_micro_operators \
+            --benchmark_filter="$FILTER" \
+            --benchmark_min_time=0.05 \
+            --benchmark_repetitions=3 \
+            --benchmark_format=json \
+            --benchmark_out="$OPS_RETRY" \
+            --benchmark_out_format=json >/dev/null
+        fi
       done
       python3 - "$FRESH" "${RETRY_FILES[@]}" <<'PYEOF'
 import json
@@ -742,7 +802,7 @@ PYEOF
       rm -f "$RETRY_LIST"
     fi
     if [[ -s "$GATE_FAILS" ]]; then
-      echo "ci.sh: decode bench regression confirmed by isolated re-run:"
+      echo "ci.sh: bench regression confirmed by isolated re-run:"
       cat "$GATE_FAILS"
       rm -f "$GATE_FAILS"
       exit 1

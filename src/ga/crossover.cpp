@@ -1,27 +1,72 @@
 #include "src/ga/crossover.h"
 
 #include <algorithm>
-#include <numeric>
-#include <span>
+#include <cstdint>
+#include <vector>
 
 namespace psga::ga {
 
 namespace {
 
-/// Fills `child` positions listed in `holes` with the multiset
-/// `remaining` taken in `donor` order. `remaining` holds per-value counts.
-void fill_in_donor_order(std::span<const int> donor, std::vector<int>& remaining,
-                         const std::vector<std::size_t>& holes,
-                         std::vector<int>& child) {
-  std::size_t hole = 0;
-  for (int v : donor) {
-    if (hole >= holes.size()) break;
-    auto& left = remaining[static_cast<std::size_t>(v)];
-    if (left > 0) {
-      --left;
-      child[holes[hole++]] = v;
+/// Per-thread operator scratch. Island and cellular lanes breed through
+/// one shared `const` operator, so the buffers live per thread — never in
+/// the operator. Marks are epoch stamps: starting a new mark set bumps
+/// the epoch instead of clearing the array.
+struct Scratch {
+  std::vector<std::uint32_t> stamp;  ///< value -> epoch of its last mark
+  std::uint32_t epoch = 0;
+  std::vector<int> count;            ///< per-value counts / maps
+  std::vector<int> first;            ///< per-position buffers
+  std::vector<int> second;
+  std::vector<std::uint8_t> flag;    ///< per-position / per-value coins
+
+  /// Starts an empty mark set over values [0, n).
+  void clear_marks(std::size_t n) {
+    if (stamp.size() < n) stamp.resize(n, 0);
+    if (++epoch == 0) {  // wrapped: stale stamps could alias, so reset
+      std::fill(stamp.begin(), stamp.end(), 0u);
+      epoch = 1;
     }
   }
+  bool marked(int v) const {
+    return stamp[static_cast<std::size_t>(v)] == epoch;
+  }
+  void mark(int v) { stamp[static_cast<std::size_t>(v)] = epoch; }
+};
+
+Scratch& scratch() {
+  thread_local Scratch s;
+  return s;
+}
+
+/// `count` = per-value counts of the full chromosome multiset.
+void full_multiset(const GenomeTraits& traits, std::vector<int>& count) {
+  if (traits.seq_kind == SeqKind::kJobRepetition) {
+    count.assign(traits.repeats.begin(), traits.repeats.end());
+  } else {
+    count.assign(static_cast<std::size_t>(traits.seq_length), 1);
+  }
+}
+
+/// Fills child positions [first, last) with the multiset `remaining`
+/// (per-value counts) taken in `donor` order. Branch-free: every donor
+/// gene is written to the gather buffer, and only a taken one advances
+/// the cursor.
+void fill_in_donor_order(const std::vector<int>& donor,
+                         std::vector<int>& remaining, std::size_t first,
+                         std::size_t last, std::vector<int>& child) {
+  std::vector<int>& taken = scratch().first;
+  taken.resize(donor.size());
+  std::size_t count = 0;
+  for (int v : donor) {
+    int& left = remaining[static_cast<std::size_t>(v)];
+    const int take = left > 0 ? 1 : 0;
+    left -= take;
+    taken[count] = v;
+    count += static_cast<std::size_t>(take);
+  }
+  std::copy_n(taken.begin(), std::min(count, last - first),
+              child.begin() + static_cast<std::ptrdiff_t>(first));
 }
 
 int max_value(const GenomeTraits& traits) {
@@ -30,27 +75,19 @@ int max_value(const GenomeTraits& traits) {
              : traits.seq_length;
 }
 
-/// Per-value counts of the full chromosome multiset.
-std::vector<int> full_multiset(const GenomeTraits& traits) {
-  if (traits.seq_kind == SeqKind::kJobRepetition) return traits.repeats;
-  return std::vector<int>(static_cast<std::size_t>(traits.seq_length), 1);
-}
-
 /// One-point "order" crossover on a multiset chromosome: child = parent's
-/// prefix [0, cut) + the remaining multiset in donor order.
+/// prefix [0, cut) + the remaining multiset in donor order. `child`
+/// arrives as a copy of `keep` (the cross_seq contract).
 void one_point_multiset(const std::vector<int>& keep,
                         const std::vector<int>& donor,
                         const GenomeTraits& traits, std::size_t cut,
                         std::vector<int>& child) {
-  child.assign(keep.begin(), keep.end());
-  std::vector<int> remaining = full_multiset(traits);
+  std::vector<int>& remaining = scratch().count;
+  full_multiset(traits, remaining);
   for (std::size_t i = 0; i < cut; ++i) {
     --remaining[static_cast<std::size_t>(keep[i])];
   }
-  std::vector<std::size_t> holes;
-  holes.reserve(keep.size() - cut);
-  for (std::size_t i = cut; i < keep.size(); ++i) holes.push_back(i);
-  fill_in_donor_order(donor, remaining, holes, child);
+  fill_in_donor_order(donor, remaining, cut, keep.size(), child);
 }
 
 }  // namespace
@@ -115,16 +152,17 @@ void TwoPointOrderCrossover::cross_seq(const Genome& a, const Genome& b,
   if (lo > hi) std::swap(lo, hi);
   if (lo == hi) return;  // degenerate window: children stay parent copies
 
+  std::vector<int>& remaining = scratch().count;
   auto build = [&](const std::vector<int>& keep, const std::vector<int>& donor,
                    std::vector<int>& child) {
-    child.assign(keep.begin(), keep.end());
-    std::vector<int> remaining = full_multiset(traits);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (i < lo || i >= hi) --remaining[static_cast<std::size_t>(keep[i])];
+    full_multiset(traits, remaining);
+    for (std::size_t i = 0; i < lo; ++i) {
+      --remaining[static_cast<std::size_t>(keep[i])];
     }
-    std::vector<std::size_t> holes;
-    for (std::size_t i = lo; i < hi; ++i) holes.push_back(i);
-    fill_in_donor_order(donor, remaining, holes, child);
+    for (std::size_t i = hi; i < n; ++i) {
+      --remaining[static_cast<std::size_t>(keep[i])];
+    }
+    fill_in_donor_order(donor, remaining, lo, hi, child);
   };
   build(a.seq, b.seq, child1.seq);
   build(b.seq, a.seq, child2.seq);
@@ -142,24 +180,24 @@ void PmxCrossover::cross_seq(const Genome& a, const Genome& b,
   if (lo > hi) std::swap(lo, hi);
   ++hi;  // window [lo, hi)
 
+  Scratch& s = scratch();
+  std::vector<int>& mapped_to = s.count;  // read only for marked values
+  mapped_to.resize(static_cast<std::size_t>(traits.seq_length));
   auto build = [&](const std::vector<int>& base, const std::vector<int>& window_src,
                    std::vector<int>& child) {
-    child.assign(base.begin(), base.end());
-    std::vector<int> mapped_to(static_cast<std::size_t>(traits.seq_length), -1);
-    std::vector<bool> in_window(static_cast<std::size_t>(traits.seq_length), false);
+    s.clear_marks(static_cast<std::size_t>(traits.seq_length));
     for (std::size_t i = lo; i < hi; ++i) {
       child[i] = window_src[i];
-      in_window[static_cast<std::size_t>(window_src[i])] = true;
+      s.mark(window_src[i]);
       mapped_to[static_cast<std::size_t>(window_src[i])] = base[i];
     }
-    for (std::size_t i = 0; i < n; ++i) {
-      if (i >= lo && i < hi) continue;
+    auto repair = [&](std::size_t i) {
       int v = base[i];
-      while (in_window[static_cast<std::size_t>(v)]) {
-        v = mapped_to[static_cast<std::size_t>(v)];
-      }
+      while (s.marked(v)) v = mapped_to[static_cast<std::size_t>(v)];
       child[i] = v;
-    }
+    };
+    for (std::size_t i = 0; i < lo; ++i) repair(i);
+    for (std::size_t i = hi; i < n; ++i) repair(i);
   };
   build(a.seq, b.seq, child1.seq);
   build(b.seq, a.seq, child2.seq);
@@ -177,24 +215,28 @@ void OxCrossover::cross_seq(const Genome& a, const Genome& b,
   if (lo > hi) std::swap(lo, hi);
   ++hi;  // window [lo, hi)
 
+  Scratch& s = scratch();
+  std::vector<int>& genes = s.first;
+  genes.resize(n);
   auto build = [&](const std::vector<int>& keep, const std::vector<int>& donor,
                    std::vector<int>& child) {
-    child.assign(keep.size(), -1);
-    std::vector<bool> used(n, false);
-    for (std::size_t i = lo; i < hi; ++i) {
-      child[i] = keep[i];
-      used[static_cast<std::size_t>(keep[i])] = true;
-    }
-    // Fill from donor starting after the window, wrapping around.
-    std::size_t write = hi % n;
-    for (std::size_t step = 0; step < n; ++step) {
-      const int v = donor[(hi + step) % n];
-      if (used[static_cast<std::size_t>(v)]) continue;
-      child[write] = v;
-      used[static_cast<std::size_t>(v)] = true;
-      write = (write + 1) % n;
-      if (write == lo) break;
-    }
+    // The window already holds keep's genes (child arrives as a copy).
+    s.clear_marks(n);
+    for (std::size_t i = lo; i < hi; ++i) s.mark(keep[i]);
+    // Gather the donor genes missing from the window, scanning from hi
+    // and wrapping around; they fill the holes [hi, n) then [0, lo).
+    std::size_t count = 0;
+    auto gather = [&](int v) {
+      genes[count] = v;
+      count += s.marked(v) ? 0 : 1;
+    };
+    for (std::size_t i = hi; i < n; ++i) gather(donor[i]);
+    for (std::size_t i = 0; i < hi; ++i) gather(donor[i]);
+    const std::size_t tail = std::min(count, n - hi);
+    std::copy_n(genes.begin(), tail,
+                child.begin() + static_cast<std::ptrdiff_t>(hi));
+    std::copy_n(genes.begin() + static_cast<std::ptrdiff_t>(tail),
+                std::min(count - tail, lo), child.begin());
   };
   build(a.seq, b.seq, child1.seq);
   build(b.seq, a.seq, child2.seq);
@@ -207,11 +249,14 @@ void CycleCrossover::cross_seq(const Genome& a, const Genome& b,
                                Genome& child2, par::Rng& /*rng*/) const {
   const std::size_t n = a.seq.size();
   if (n < 2) return;
-  std::vector<int> pos_in_a(n);
+  Scratch& s = scratch();
+  std::vector<int>& pos_in_a = s.first;
+  pos_in_a.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     pos_in_a[static_cast<std::size_t>(a.seq[i])] = static_cast<int>(i);
   }
-  std::vector<int> cycle_of(n, -1);
+  std::vector<int>& cycle_of = s.second;
+  cycle_of.assign(n, -1);
   int cycles = 0;
   for (std::size_t start = 0; start < n; ++start) {
     if (cycle_of[start] >= 0) continue;
@@ -222,12 +267,11 @@ void CycleCrossover::cross_seq(const Genome& a, const Genome& b,
     }
     ++cycles;
   }
-  child1.seq.resize(n);
-  child2.seq.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    const bool even = (cycle_of[i] % 2) == 0;
-    child1.seq[i] = even ? a.seq[i] : b.seq[i];
-    child2.seq[i] = even ? b.seq[i] : a.seq[i];
+    if (cycle_of[i] % 2 != 0) {
+      child1.seq[i] = b.seq[i];
+      child2.seq[i] = a.seq[i];
+    }
   }
 }
 
@@ -239,25 +283,38 @@ void PositionBasedCrossover::cross_seq(const Genome& a, const Genome& b,
                                        par::Rng& rng) const {
   const std::size_t n = a.seq.size();
   if (n < 2) return;
-  std::vector<bool> keep(n);
+  Scratch& s = scratch();
+  std::vector<std::uint8_t>& keep = s.flag;
+  keep.resize(n);
   for (std::size_t i = 0; i < n; ++i) keep[i] = rng.chance(0.5);
+  // The unkept positions, in order: the holes both children fill.
+  std::vector<int>& holes = s.first;
+  holes.resize(n);
+  std::size_t hole_count = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    holes[hole_count] = static_cast<int>(i);
+    hole_count += keep[i] ? 0 : 1;
+  }
 
+  std::vector<int>& genes = s.second;
+  genes.resize(n);
   auto build = [&](const std::vector<int>& base, const std::vector<int>& donor,
                    std::vector<int>& child) {
-    child.assign(base.size(), -1);
-    std::vector<bool> used(n, false);
+    // Kept positions already hold base's genes (child arrives as a copy);
+    // the holes take the donor's other genes in order. Every value occurs
+    // once in a permutation, so one branch-free pass both marks the kept
+    // genes and unmarks the rest.
+    s.clear_marks(n);
     for (std::size_t i = 0; i < n; ++i) {
-      if (keep[i]) {
-        child[i] = base[i];
-        used[static_cast<std::size_t>(base[i])] = true;
-      }
+      s.stamp[static_cast<std::size_t>(base[i])] = keep[i] ? s.epoch : 0u;
     }
-    std::size_t write = 0;
+    std::size_t count = 0;
     for (int v : donor) {
-      if (used[static_cast<std::size_t>(v)]) continue;
-      while (write < n && child[write] >= 0) ++write;
-      if (write >= n) break;
-      child[write] = v;
+      genes[count] = v;
+      count += s.marked(v) ? 0 : 1;
+    }
+    for (std::size_t k = 0, end = std::min(count, hole_count); k < end; ++k) {
+      child[static_cast<std::size_t>(holes[k])] = genes[k];
     }
   };
   build(a.seq, b.seq, child1.seq);
@@ -275,30 +332,31 @@ void JoxCrossover::cross_seq(const Genome& a, const Genome& b,
                              Genome& child2, par::Rng& rng) const {
   const std::size_t n = a.seq.size();
   if (n < 2) return;
-  const int values = max_value(traits);
-  std::vector<bool> chosen(static_cast<std::size_t>(values));
-  for (auto&& flag : chosen) flag = rng.chance(0.5);
+  Scratch& s = scratch();
+  std::vector<std::uint8_t>& chosen = s.flag;
+  chosen.resize(static_cast<std::size_t>(max_value(traits)));
+  for (auto& flag : chosen) flag = rng.chance(0.5);
 
-  auto build = [&](const std::vector<int>& keep, const std::vector<int>& donor,
-                   std::vector<int>& child) {
-    child.assign(keep.size(), -1);
-    std::vector<std::size_t> holes;
+  // Chosen jobs keep their positions (children arrive as parent copies).
+  // The unchosen positions of each parent are the holes of its child and,
+  // read in order, the genes the other child takes.
+  auto unchosen = [&](const std::vector<int>& parent, std::vector<int>& pos) {
+    pos.resize(n);
+    std::size_t count = 0;
     for (std::size_t i = 0; i < n; ++i) {
-      if (chosen[static_cast<std::size_t>(keep[i])]) {
-        child[i] = keep[i];
-      } else {
-        holes.push_back(i);
-      }
+      pos[count] = static_cast<int>(i);
+      count += chosen[static_cast<std::size_t>(parent[i])] ? 0 : 1;
     }
-    std::size_t hole = 0;
-    for (int v : donor) {
-      if (chosen[static_cast<std::size_t>(v)]) continue;
-      child[holes[hole++]] = v;
-      if (hole >= holes.size()) break;
-    }
+    return count;
   };
-  build(a.seq, b.seq, child1.seq);
-  build(b.seq, a.seq, child2.seq);
+  const std::size_t count = std::min(unchosen(a.seq, s.first),
+                                     unchosen(b.seq, s.second));
+  for (std::size_t k = 0; k < count; ++k) {
+    const auto pa = static_cast<std::size_t>(s.first[k]);
+    const auto pb = static_cast<std::size_t>(s.second[k]);
+    child1.seq[pa] = b.seq[pb];
+    child2.seq[pb] = a.seq[pa];
+  }
 }
 
 // --- PpxCrossover ---------------------------------------------------------
@@ -312,28 +370,32 @@ void PpxCrossover::cross_seq(const Genome& a, const Genome& b,
                              Genome& child2, par::Rng& rng) const {
   const std::size_t n = a.seq.size();
   if (n < 2) return;
-  const int values = max_value(traits);
-  std::vector<bool> mask(n);
-  for (auto&& bit : mask) bit = rng.chance(0.5);
+  const std::size_t values = static_cast<std::size_t>(max_value(traits));
+  Scratch& s = scratch();
+  std::vector<std::uint8_t>& mask = s.flag;
+  mask.resize(n);
+  for (auto& bit : mask) bit = rng.chance(0.5);
 
   // occ[i] = 1-based occurrence index of parent[i]'s value within the
   // parent, so "already emitted" can be checked in O(1) while cursors only
   // move forward.
-  auto occurrence_index = [&](const std::vector<int>& parent) {
-    std::vector<int> occ(n);
-    std::vector<int> count(static_cast<std::size_t>(values), 0);
+  std::vector<int>& count = s.count;
+  auto occurrence_index = [&](const std::vector<int>& parent,
+                              std::vector<int>& occ) {
+    occ.resize(n);
+    count.assign(values, 0);
     for (std::size_t i = 0; i < n; ++i) {
       occ[i] = ++count[static_cast<std::size_t>(parent[i])];
     }
-    return occ;
   };
-  const std::vector<int> occ_a = occurrence_index(a.seq);
-  const std::vector<int> occ_b = occurrence_index(b.seq);
+  std::vector<int>& occ_a = s.first;
+  std::vector<int>& occ_b = s.second;
+  occurrence_index(a.seq, occ_a);
+  occurrence_index(b.seq, occ_b);
 
+  std::vector<int>& consumed = count;
   auto build = [&](bool flip, std::vector<int>& child) {
-    child.clear();
-    child.reserve(n);
-    std::vector<int> consumed(static_cast<std::size_t>(values), 0);
+    consumed.assign(values, 0);
     std::size_t pa = 0;
     std::size_t pb = 0;
     auto take_next = [&](const std::vector<int>& parent,
@@ -345,14 +407,14 @@ void PpxCrossover::cross_seq(const Genome& a, const Genome& b,
       return cursor < n ? parent[cursor] : -1;
     };
     for (std::size_t i = 0; i < n; ++i) {
-      const bool from_first = flip ? !mask[i] : mask[i];
+      const bool from_first = flip ? !mask[i] : mask[i] != 0;
       int v = from_first ? take_next(a.seq, occ_a, pa)
                          : take_next(b.seq, occ_b, pb);
       if (v < 0) {
         v = from_first ? take_next(b.seq, occ_b, pb)
                        : take_next(a.seq, occ_a, pa);
       }
-      child.push_back(v);
+      child[i] = v;
       ++consumed[static_cast<std::size_t>(v)];
     }
   };

@@ -1,6 +1,7 @@
 #include "src/ga/simple_ga.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <numeric>
 
@@ -62,6 +63,9 @@ SimpleGa::SimpleGa(ProblemPtr problem, GaConfig config, par::ThreadPool* pool)
 }
 
 void SimpleGa::init() {
+  // Resolved per run, like engine.generation_ns, so building an engine
+  // costs no registry insert.
+  breed_ns_ = &config_.metrics->histogram("engine.breed_ns");
   population_.clear();
   population_.reserve(static_cast<std::size_t>(config_.population));
   // An injected whole population (the warm-start seam) wins slots before
@@ -100,8 +104,9 @@ void SimpleGa::scan_population_best() {
   }
 }
 
-std::vector<double> SimpleGa::fitness_values() const {
-  std::vector<double> fitness(objectives_.size());
+void SimpleGa::compute_fitness() {
+  std::vector<double>& fitness = fitness_;
+  fitness.resize(objectives_.size());
   for (std::size_t i = 0; i < objectives_.size(); ++i) {
     fitness[i] =
         config_.transform == FitnessTransform::kReference
@@ -124,7 +129,6 @@ std::vector<double> SimpleGa::fitness_values() const {
       fitness[i] /= std::max(niche, 1.0);
     }
   }
-  return fitness;
 }
 
 double SimpleGa::current_mutation_rate() const {
@@ -137,9 +141,8 @@ double SimpleGa::current_mutation_rate() const {
 }
 
 void SimpleGa::step() {
-  obs::Tracer* const tracer = tracer_.get();
-  const std::uint64_t breed_start = tracer != nullptr ? tracer->now_ns() : 0;
-  const std::vector<double> fitness = fitness_values();
+  const auto breed_start = std::chrono::steady_clock::now();
+  compute_fitness();
   const GenomeTraits& traits = problem_->traits();
   // The generation size follows the CURRENT population, not the config:
   // island merging (absorb) grows a population permanently ([29]).
@@ -181,24 +184,24 @@ void SimpleGa::step() {
 
   // Elitism: best `elites` individuals survive unchanged (all cache hits
   // when memoization is on — they were decoded last generation).
-  std::vector<int> order(population_.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::partial_sort(order.begin(),
-                    order.begin() + static_cast<std::ptrdiff_t>(elites),
-                    order.end(), [&](int a, int b) {
+  order_.resize(population_.size());
+  std::iota(order_.begin(), order_.end(), 0);
+  std::partial_sort(order_.begin(),
+                    order_.begin() + static_cast<std::ptrdiff_t>(elites),
+                    order_.end(), [&](int a, int b) {
                       return objectives_[static_cast<std::size_t>(a)] <
                              objectives_[static_cast<std::size_t>(b)];
                     });
   for (int e = 0; e < elites; ++e) {
-    next_population_[filled++] =
-        population_[static_cast<std::size_t>(order[static_cast<std::size_t>(e)])];
+    next_population_[filled++] = population_[static_cast<std::size_t>(
+        order_[static_cast<std::size_t>(e)])];
   }
   flush();
 
   // Breeding: selection (possibly SUS batch), crossover, mutation.
   const int pairs = (bred + 1) / 2;
   const std::vector<int> parents =
-      config_.ops.selection->pick_many(fitness, pairs * 2, rng_);
+      config_.ops.selection->pick_many(fitness_, pairs * 2, rng_);
   const double mutation_rate = current_mutation_rate();
   const std::size_t last_bred_slot = static_cast<std::size_t>(elites + bred);
   for (int p = 0; p < pairs; ++p) {
@@ -231,8 +234,13 @@ void SimpleGa::step() {
     if (filled - submitted >= block) flush();
   }
   flush();
-  if (tracer != nullptr) {
-    tracer->record("breed", breed_start, tracer->now_ns() - breed_start);
+  const auto breed_ns = static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - breed_start)
+          .count());
+  if (breed_ns_ != nullptr) breed_ns_->record(breed_ns);
+  if (obs::Tracer* const tracer = tracer_.get()) {
+    tracer->record("breed", tracer->now_ns() - breed_ns, breed_ns);
   }
 
   if (pipelined) {

@@ -100,7 +100,8 @@ class SimpleGa : public Engine {
  private:
   void evaluate_all();
   void scan_population_best();
-  std::vector<double> fitness_values() const;
+  /// Fills fitness_ from objectives_ (transform + optional sharing).
+  void compute_fitness();
 
   ProblemPtr problem_;
   GaConfig config_;
@@ -116,6 +117,12 @@ class SimpleGa : public Engine {
   std::vector<Genome> next_population_;
   std::vector<double> next_objectives_;
   Genome spare_child_;  ///< discarded second child of the last odd pair
+  /// Per-generation work buffers, kept so a step reuses their storage.
+  std::vector<double> fitness_;
+  std::vector<int> order_;
+  /// engine.breed_ns: wall time of each step's breed phase (selection,
+  /// crossover, mutation, immigration, pipeline flushes).
+  obs::Histogram* breed_ns_ = nullptr;
   Genome best_;
   double best_objective_ = 0.0;
   bool has_best_ = false;

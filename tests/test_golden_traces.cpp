@@ -13,12 +13,18 @@
 //   * operators — every registry crossover that supports permutation or
 //     repetition chromosomes, crossed 16 times on fixed parents from one
 //     seeded RNG at n = 20 and n = 100: one hash folding every child.
+//
+// The operators keep per-thread scratch buffers; the last suite checks
+// that reused, resized and concurrently used scratch gives the children
+// a fresh thread computes.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
 #include <ostream>
+#include <atomic>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/ga/genome.h"
@@ -129,7 +135,7 @@ TEST_P(GoldenEngine, HistoryAndBestGenomeUnchanged) {
 INSTANTIATE_TEST_SUITE_P(Fixture, GoldenEngine,
                          ::testing::ValuesIn(kEngineGolden));
 
-// --- operators ----------------------------------------------------------------
+// --- operators --------------------------------------------------------------
 
 /// Traits for a chromosome of length `n`: a permutation of n jobs, or n
 /// operations spread over n/10 (n = 100) or n/4 (n = 20) jobs.
@@ -237,6 +243,76 @@ TEST(GoldenCrossover, ChildrenUnchanged) {
   for (const CrossGolden& g : kCrossGolden) {
     EXPECT_EQ(hex(cross_fingerprint(g.name, g.kind, g.n)), hex(g.hash))
         << g.name << (g.kind == kPerm ? " perm" : " rep") << " n=" << g.n;
+  }
+}
+
+// --- per-thread scratch ------------------------------------------------------
+
+struct Children {
+  std::vector<int> c1;
+  std::vector<int> c2;
+  bool operator==(const Children&) const = default;
+};
+
+/// One cross at length n from a fixed parent pair and RNG seed. `c1` and
+/// `c2` may hold anything beforehand, stale genes of another length too.
+Children cross_once(const Crossover& cx, SeqKind kind, int n, Genome& c1,
+                    Genome& c2) {
+  const GenomeTraits traits = golden_traits(kind, n);
+  par::Rng setup(0x5c4a7c40u + static_cast<std::uint64_t>(n));
+  const Genome a = golden_parent(traits, setup);
+  const Genome b = golden_parent(traits, setup);
+  par::Rng rng(static_cast<std::uint64_t>(n) * 7919 + 17);
+  cx.cross(a, b, traits, c1, c2, rng);
+  return {c1.seq, c2.seq};
+}
+
+/// The reference: a brand-new thread (fresh scratch), empty children.
+Children fresh_cross(const Crossover& cx, SeqKind kind, int n) {
+  Children out;
+  std::thread([&] {
+    Genome c1;
+    Genome c2;
+    out = cross_once(cx, kind, n, c1, c2);
+  }).join();
+  return out;
+}
+
+TEST(CrossoverScratch, ReuseAcrossLengthsAndThreadsMatchesFreshCall) {
+  for (const SeqKind kind : {kPerm, kRep}) {
+    for (const std::string& name : crossover_names(kind)) {
+      SCOPED_TRACE(name + (kind == kPerm ? " perm" : " rep"));
+      const CrossoverPtr cx = make_crossover(name);
+      const Children want100 = fresh_cross(*cx, kind, 100);
+      const Children want20 = fresh_cross(*cx, kind, 20);
+
+      // One thread, lengths 100 -> 20 -> 100; children arrive holding
+      // stale genes of the other length.
+      Genome c1;
+      Genome c2;
+      c1.seq.assign(20, 7);
+      c2.seq.assign(20, 3);
+      EXPECT_EQ(cross_once(*cx, kind, 100, c1, c2), want100);
+      EXPECT_EQ(cross_once(*cx, kind, 20, c1, c2), want20);
+      EXPECT_EQ(cross_once(*cx, kind, 100, c1, c2), want100);
+
+      // Four threads at once through the one shared operator.
+      std::atomic<int> mismatches{0};
+      std::vector<std::thread> threads;
+      for (int t = 0; t < 4; ++t) {
+        threads.emplace_back([&, t] {
+          Genome d1;
+          Genome d2;
+          for (int i = 0; i < 50; ++i) {
+            const bool wide = (i + t) % 2 == 0;
+            const Children got = cross_once(*cx, kind, wide ? 100 : 20, d1, d2);
+            if (got != (wide ? want100 : want20)) ++mismatches;
+          }
+        });
+      }
+      for (std::thread& thread : threads) thread.join();
+      EXPECT_EQ(mismatches.load(), 0);
+    }
   }
 }
 

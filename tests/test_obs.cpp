@@ -305,6 +305,37 @@ TEST(ObsDeterminism, TracedRunRecordsSpans) {
   EXPECT_EQ(untraced.engine().tracer_shared(), nullptr);
 }
 
+TEST(ObsEngine, BreedHistogramHasOneSamplePerGeneration) {
+  // engine.breed_ns is always on: SimpleGa::step records its breed phase
+  // beside engine.generation_ns, so RunResult::metrics splits a
+  // generation without a tracer. A traced run also gets one breed span
+  // per generation from the same timestamps.
+  constexpr int kGenerations = 17;
+  ga::Solver solver = ga::Solver::build(ga::RunSpec::parse(
+      "problem=flowshop instance=ta001 engine=simple pop=20 seed=5 "
+      "trace=on"));
+  const ga::RunResult result =
+      solver.run(ga::StopCondition::generations(kGenerations));
+  ASSERT_TRUE(result.metrics.has_value());
+  const obs::HistogramSnapshot* breed =
+      result.metrics->histogram("engine.breed_ns");
+  const obs::HistogramSnapshot* generation =
+      result.metrics->histogram("engine.generation_ns");
+  ASSERT_NE(breed, nullptr);
+  ASSERT_NE(generation, nullptr);
+  EXPECT_EQ(breed->count, static_cast<std::uint64_t>(kGenerations));
+  EXPECT_EQ(generation->count, static_cast<std::uint64_t>(kGenerations));
+  EXPECT_GT(breed->sum, 0u);
+  EXPECT_LE(breed->sum, generation->sum);
+
+  int breed_spans = 0;
+  const auto tracer = solver.engine().tracer_shared();
+  for (const obs::SpanEvent& event : tracer->events()) {
+    breed_spans += std::string(event.name) == "breed";
+  }
+  EXPECT_EQ(breed_spans, kGenerations);
+}
+
 TEST(ObsCache, ZeroCountersAlwaysEngagedWithoutACache) {
   const ga::RunResult result =
       run_observed("engine=simple pop=10 seed=9", true, false);

@@ -207,10 +207,13 @@ TEST(Service, DrainCancelsQueuedFinishesRunning) {
   std::vector<long long> rest;
   {
     Client client(config.socket_path);
-    SubmitOptions quick;
-    quick.generations = 40;
+    // A wall-clock budget, not a generation count: however fast a
+    // generation gets, the first job is still running when drain() lands,
+    // and it still ends kDone on its own.
+    SubmitOptions timed;
+    timed.seconds = 2.0;
     first = client.submit(
-        "problem=flowshop instance=ta001 engine=simple pop=10 seed=3", quick);
+        "problem=flowshop instance=ta001 engine=simple pop=10 seed=3", timed);
     await_running(client, first);
     for (int i = 0; i < 3; ++i) {
       rest.push_back(client.submit(kLongSpec, long_budget()));
