@@ -19,12 +19,12 @@
 #   SKIP_BENCH=1 ./ci.sh        tests only
 #   SKIP_SAN=1 ./ci.sh          skip the sanitizer leg
 #   SKIP_BENCH_DIFF=1 ./ci.sh   snapshot without the regression gate
-#   BENCH_TOLERANCE=0.25        decode/operator-bench regression threshold
+#   BENCH_TOLERANCE=0.25        decode/operator/cache-bench regression threshold
 #                               (fraction)
 #
 # The JSON snapshot gives future PRs a perf trajectory: the diff prints
 # the per-benchmark change vs the committed baseline and FAILS when any
-# decode or operator bench regresses by more than BENCH_TOLERANCE (default 25%)
+# decode, operator or cache bench regresses by more than BENCH_TOLERANCE (default 25%)
 # beyond the suite-wide median drift (shared-host slowdowns move every
 # bench together and are not regressions).
 # Snapshots carry a psga_build_type context stamp and are refused
@@ -457,11 +457,14 @@ PYEOF
   fi
 
   # Merge the cache/async bench into the same snapshot so the
-  # hit-rate/decode-reduction counters live in BENCH_micro.json.
+  # hit-rate/decode-reduction counters live in BENCH_micro.json. Medians
+  # of 5: the BM_Cache* rows (the cache layer itself) are gated.
   if [[ -x "$BUILD_DIR/bench_micro_cache" ]] && command -v python3 >/dev/null; then
     CACHE_FRESH=$(mktemp /tmp/psga_bench_cache.XXXXXX.json)
     "$BUILD_DIR"/bench_micro_cache \
       --benchmark_min_time=0.05 \
+      --benchmark_repetitions=5 \
+      --benchmark_report_aggregates_only=true \
       --benchmark_format=json \
       --benchmark_out="$CACHE_FRESH" \
       --benchmark_out_format=json >/dev/null
@@ -472,7 +475,11 @@ import sys
 with open(sys.argv[1]) as f:
     merged = json.load(f)
 with open(sys.argv[2]) as f:
-    merged["benchmarks"].extend(json.load(f)["benchmarks"])
+    cache = json.load(f)["benchmarks"]
+medians = [b for b in cache if b.get("aggregate_name") == "median"]
+for b in medians:
+    b["name"] = b["name"].removesuffix("_median")
+merged["benchmarks"].extend(medians)
 with open(sys.argv[1], "w") as f:
     json.dump(merged, f, indent=1)
 PYEOF
@@ -669,7 +676,7 @@ drift = max(drift, 1.0)
 
 width = max((len(n) for n in fresh), default=20)
 print(f"\n-- bench deltas vs committed BENCH_micro.json "
-      f"(host drift x{drift:.2f}; gate: decode/operator benches "
+      f"(host drift x{drift:.2f}; gate: decode/operator/cache benches "
       f"> {tolerance:.0%} slower than drift fail)")
 failures = []
 for name, bench in fresh.items():
@@ -681,13 +688,13 @@ for name, bench in fresh.items():
     normalized = bench["real_time"] / old["real_time"] / drift - 1.0
     # The regression gate covers the decoder benches (the evaluation hot
     # path this snapshot exists to guard), the breed-layer operator
-    # benches and the session event-latency p95s; *_Scratch twins
-    # included.
+    # benches, the cache-layer benches and the session event-latency
+    # p95s; *_Scratch twins included.
     gated = any(tag in name for tag in
                 ("Decode", "SemiActive", "GifflerThompson", "Makespan",
                  "Flexible", "LotStreaming", "OpenShop", "HybridFlowShop",
                  "SessionEvent", "BM_Crossover/", "BM_Mutation/",
-                 "BM_Selection/"))
+                 "BM_Selection/", "BM_Cache"))
     marker = ""
     if only and name not in only:
         gated = False
@@ -763,6 +770,19 @@ PYEOF
             --benchmark_repetitions=3 \
             --benchmark_format=json \
             --benchmark_out="$OPS_RETRY" \
+            --benchmark_out_format=json >/dev/null
+        fi
+        # And the cache-layer benches.
+        if grep -q '^BM_Cache' "$GATE_FAILS" \
+           && [[ -x "$BUILD_DIR/bench_micro_cache" ]]; then
+          CACHE_RETRY=$(mktemp "/tmp/psga_bench_cretry.${attempt}.XXXXXX.json")
+          RETRY_FILES+=("$CACHE_RETRY")
+          "$BUILD_DIR"/bench_micro_cache \
+            --benchmark_filter="$FILTER" \
+            --benchmark_min_time=0.05 \
+            --benchmark_repetitions=3 \
+            --benchmark_format=json \
+            --benchmark_out="$CACHE_RETRY" \
             --benchmark_out_format=json >/dev/null
         fi
       done

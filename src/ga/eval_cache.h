@@ -4,29 +4,46 @@
 // unchanged into every generation, migrants cloned across islands and
 // cluster ranks, crossover-skipped children that are verbatim parent
 // copies. Each duplicate re-runs a full schedule decode today. EvalCache
-// memoizes objective values by a well-mixed 64-bit genome hash so the
-// Evaluator decodes each distinct genome once.
+// memoizes objective values by a well-mixed 64-bit key so the Evaluator
+// decodes each distinct genome once.
 //
-// Correctness over trust-the-hash: every entry stores the genome itself
+// Keys. The Evaluator keys entries with EvalCache::key — a four-lane
+// multiply-rotate hash over packed words, several times cheaper than
+// genome_hash's one-mixer-per-element chain. genome_hash stays the
+// stable identity of a genome (golden traces, session plan hashes);
+// EvalCache::key is an in-memory key only and is never persisted. The
+// table itself takes any 64-bit key: lookup/insert are explicit-key.
+//
+// Correctness over trust-the-key: every entry stores the genome itself
 // and a lookup only hits when the stored genome compares equal, so a
 // 64-bit collision degrades to a miss (and the colliding insert replaces
 // the entry) instead of silently returning a wrong objective. Cached
 // values are produced by the same pure objective functions, so traces
 // are bit-identical with the cache on or off.
 //
-// The table is sharded: each shard owns a mutex, an open hash map and an
-// LRU list, so evaluator lanes, island threads and cluster ranks can
-// share one cache with little contention. Counters are exact under any
-// synchronous backend; with the async pipeline the hit/miss split of
-// intra-batch duplicates depends on insert timing (the values never do).
+// Layout. The table is sharded by the key's high 32 bits; each shard
+// owns a mutex, a dense vector of slots {key, genome, objective, LRU
+// prev/next} and an open-addressing index of int32 slot numbers (linear
+// probing, backward-shift deletion, doubled at load 1/2, starting at 16
+// entries so building a cache costs no more than an empty map). Slots are
+// only ever appended: eviction rewrites the least-recently-used slot in
+// place, so the victim's genome buffer is reused by copy-assignment and
+// an insert into a full table allocates nothing. Shards are cache-line
+// aligned so lanes hammering different shards do not share lock lines.
+//
+// Batches. lookup_many/insert_many take each shard's lock at most once
+// per call and visit a shard's items in index order; shards are
+// independent, so results, counters and LRU order equal a one-at-a-time
+// loop. lookup/insert are the one-item forms of the same locked code.
+// Counters are exact under any synchronous backend; with the async
+// pipeline the hit/miss split of intra-batch duplicates depends on
+// insert timing (the values never do).
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <memory>
-#include <mutex>
 #include <optional>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "src/ga/genome.h"
@@ -81,6 +98,7 @@ using EvalCachePtr = std::shared_ptr<EvalCache>;
 class EvalCache {
  public:
   explicit EvalCache(EvalCacheConfig config);
+  ~EvalCache();
 
   /// The one construction idiom every engine uses: a pre-built shared
   /// cache wins, otherwise `config` decides between a fresh cache and
@@ -92,13 +110,35 @@ class EvalCache {
     return std::make_shared<EvalCache>(config);
   }
 
-  /// Memoized objective of `genome` (whose genome_hash() is `hash`), or
-  /// nullopt. A hash match with a different stored genome is a miss.
-  std::optional<double> lookup(std::uint64_t hash, const Genome& genome);
+  /// The cache key of `genome`: four independent multiply-rotate lanes
+  /// over the chromosomes packed into 64-bit words, each chromosome
+  /// length-prefixed, folded by a splitmix64 finalizer. Equal genomes
+  /// key equal; the value is host-specific (byte order) and must not be
+  /// persisted — genome_hash is the stable identity.
+  static std::uint64_t key(const Genome& genome) noexcept;
 
-  /// Records `objective` for `genome`. A colliding entry (same hash,
+  /// Memoized objective of `genome` (stored under `key`), or nullopt. A
+  /// key match with a different stored genome is a miss.
+  std::optional<double> lookup(std::uint64_t key, const Genome& genome);
+
+  /// Records `objective` for `genome`. A colliding entry (same key,
   /// different genome) is replaced; an equal entry is refreshed in place.
-  void insert(std::uint64_t hash, const Genome& genome, double objective);
+  void insert(std::uint64_t key, const Genome& genome, double objective);
+
+  /// Batched lookup: for every i, hit[i] = 1 and out[i] = the memoized
+  /// objective on a hit, hit[i] = 0 (out[i] untouched) on a miss. Returns
+  /// the hit count. Same results, counters and LRU order as calling
+  /// lookup() for i = 0, 1, ...; each shard is locked at most once.
+  std::size_t lookup_many(std::span<const std::uint64_t> keys,
+                          std::span<const Genome> genomes,
+                          std::span<double> out,
+                          std::span<std::uint8_t> hit);
+
+  /// Batched insert, equal to calling insert() for i = 0, 1, ...; each
+  /// shard is locked at most once.
+  void insert_many(std::span<const std::uint64_t> keys,
+                   std::span<const Genome> genomes,
+                   std::span<const double> values);
 
   EvalCacheStats stats() const;
   /// Entries currently stored (sums the shards).
@@ -106,28 +146,24 @@ class EvalCache {
   const EvalCacheConfig& config() const { return config_; }
 
  private:
-  struct Entry {
-    Genome genome;
-    double objective = 0.0;
-    /// Position in the shard's recency list (kLru only).
-    std::list<std::uint64_t>::iterator lru;
-  };
-  struct Shard {
-    mutable std::mutex mutex;
-    std::unordered_map<std::uint64_t, Entry> map;
-    std::list<std::uint64_t> order;  ///< front = most recently used
-    EvalCacheStats stats;
-  };
+  /// Slots, index and LRU links of one lock domain (eval_cache.cpp).
+  struct Shard;
 
-  Shard& shard_for(std::uint64_t hash) {
-    // High bits pick the shard; the map keys on the full hash, and
-    // genome_hash mixes well enough that both stay uniform.
-    return *shards_[static_cast<std::size_t>(hash >> 32) % shards_.size()];
+  std::size_t shard_of(std::uint64_t key) const noexcept {
+    // High bits pick the shard; the index probes on a remix of the full
+    // key, so both stay uniform.
+    return static_cast<std::uint32_t>(key >> 32) % shard_count_;
   }
+  /// Calls visit(shard, i) for every item, grouped by shard with one
+  /// lock per shard and index order within it.
+  template <typename Visit>
+  void for_each_locked(std::span<const std::uint64_t> keys, Visit&& visit);
 
   EvalCacheConfig config_;
+  bool lru_;                    ///< mode == kLru
   std::size_t shard_capacity_;  ///< per-shard entry bound (kLru)
-  std::vector<std::unique_ptr<Shard>> shards_;
+  std::uint32_t shard_count_;
+  std::unique_ptr<Shard[]> shards_;
 };
 
 }  // namespace psga::ga

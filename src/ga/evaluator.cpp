@@ -41,16 +41,82 @@ void chunked_objective_batch(const Problem& problem,
 }
 
 /// Folds the evaluator's namespace salt into a cache key. splitmix64's
-/// finalizer is a bijection on 64-bit words, so for a fixed genome hash
+/// finalizer is a bijection on 64-bit words, so for a fixed genome key
 /// the map salt -> key is injective: entries written under different
 /// salts can never answer each other's lookups (see set_hash_salt).
-/// Salt 0 keeps the raw genome hash, preserving pre-salt key layouts.
-std::uint64_t salted_key(std::uint64_t hash, std::uint64_t salt) {
-  if (salt == 0) return hash;
-  std::uint64_t z = hash ^ salt;
+/// Salt 0 keeps the raw EvalCache::key.
+std::uint64_t salted_key(std::uint64_t key, std::uint64_t salt) {
+  if (salt == 0) return key;
+  std::uint64_t z = key ^ salt;
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
   return z ^ (z >> 31);
+}
+
+}  // namespace
+
+// --- cache filter ------------------------------------------------------------
+
+/// The cache misses of one batch: genome copies to decode, their keys,
+/// where each value lands, and the decoded values. Entries [0, size) are
+/// live; elements past `size` are kept, so a reused CacheMisses assigns
+/// genomes into existing buffers instead of reallocating them.
+struct CacheMisses {
+  std::vector<std::uint64_t> batch_keys;  ///< per batch item (lookup input)
+  std::vector<std::uint8_t> hit;          ///< per batch item (lookup output)
+  std::vector<Genome> genomes;
+  std::vector<std::uint64_t> keys;
+  std::vector<double*> out;
+  std::vector<double> values;
+  std::size_t size = 0;
+
+  std::span<const Genome> live_genomes() const { return {genomes.data(), size}; }
+  std::span<double> live_values() { return {values.data(), size}; }
+};
+
+namespace {
+
+/// The one cache-filter path (evaluate, submit, evaluate_one): keys every
+/// genome, resolves hits into `objectives` with one batched lookup and
+/// gathers the misses into `misses`. Returns the miss count.
+std::size_t filter_misses(EvalCache& cache, std::uint64_t salt,
+                          std::span<const Genome> genomes,
+                          std::span<double> objectives, CacheMisses& misses) {
+  const std::size_t n = genomes.size();
+  misses.batch_keys.resize(n);
+  misses.hit.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    misses.batch_keys[i] = salted_key(EvalCache::key(genomes[i]), salt);
+  }
+  cache.lookup_many(misses.batch_keys, genomes, objectives, misses.hit);
+  if (misses.genomes.size() < n) {
+    misses.genomes.resize(n);
+    misses.keys.resize(n);
+    misses.out.resize(n);
+    misses.values.resize(n);
+  }
+  std::size_t m = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (misses.hit[i] != 0) continue;
+    misses.genomes[m] = genomes[i];
+    misses.keys[m] = misses.batch_keys[i];
+    misses.out[m] = &objectives[i];
+    ++m;
+  }
+  misses.size = m;
+  return m;
+}
+
+/// Writes the decoded miss values to their slots and publishes them with
+/// one batched insert (`cache` may be null: slots only).
+void publish_misses(EvalCache* cache, CacheMisses& misses) {
+  if (cache != nullptr) {
+    cache->insert_many({misses.keys.data(), misses.size},
+                       misses.live_genomes(), misses.live_values());
+  }
+  for (std::size_t j = 0; j < misses.size; ++j) {
+    *misses.out[j] = misses.values[j];
+  }
 }
 
 }  // namespace
@@ -72,11 +138,9 @@ class AsyncPipeline {
     std::span<const Genome> genomes;
     std::span<double> out;
     // Filtered mode: cache misses compacted on the engine thread; each
-    // result lands in *miss_out[j] and is inserted into the cache.
+    // result lands in *misses.out[j] and is inserted into the cache.
     bool filtered = false;
-    std::vector<Genome> miss_genomes;
-    std::vector<std::uint64_t> miss_hashes;
-    std::vector<double*> miss_out;
+    CacheMisses misses;
   };
 
   AsyncPipeline(ProblemPtr problem, par::ThreadPool* pool, bool use_pool,
@@ -107,6 +171,22 @@ class AsyncPipeline {
     std::lock_guard lock(mutex_);
     queue_.push_back(std::move(job));
     work_cv_.notify_one();
+  }
+
+  /// A processed job to refill (or a fresh one): its miss buffers keep
+  /// their genome elements, so steady-state submits do not reallocate.
+  Job recycled_job() {
+    std::lock_guard lock(mutex_);
+    if (spare_.empty()) return Job{};
+    Job job = std::move(spare_.back());
+    spare_.pop_back();
+    return job;
+  }
+
+  /// Returns an unsubmitted job from recycled_job() to the spares.
+  void give_back(Job job) {
+    std::lock_guard lock(mutex_);
+    spare_.push_back(std::move(job));
   }
 
   void fence() {
@@ -153,6 +233,7 @@ class AsyncPipeline {
       {
         std::lock_guard lock(mutex_);
         busy_ = false;
+        spare_.push_back(std::move(job));
       }
       idle_cv_.notify_all();
     }
@@ -163,14 +244,8 @@ class AsyncPipeline {
       run_batch(job.genomes, job.out);
       return;
     }
-    scratch_.resize(job.miss_genomes.size());
-    run_batch(job.miss_genomes, scratch_);
-    for (std::size_t j = 0; j < job.miss_genomes.size(); ++j) {
-      *job.miss_out[j] = scratch_[j];
-      if (cache_ != nullptr) {
-        cache_->insert(job.miss_hashes[j], job.miss_genomes[j], scratch_[j]);
-      }
-    }
+    run_batch(job.misses.live_genomes(), job.misses.live_values());
+    publish_misses(cache_.get(), job.misses);
   }
 
   void run_batch(std::span<const Genome> genomes, std::span<double> out) {
@@ -215,7 +290,6 @@ class AsyncPipeline {
   std::size_t batch_size_;
   std::vector<std::unique_ptr<Workspace>> workspaces_;
   EvalCachePtr cache_;
-  std::vector<double> scratch_;
   std::atomic<long long> decode_calls_{0};
   obs::Histogram* decode_ns_ = nullptr;
   obs::Histogram* batch_size_hist_ = nullptr;
@@ -226,6 +300,7 @@ class AsyncPipeline {
   std::condition_variable work_cv_;
   std::condition_variable idle_cv_;
   std::deque<Job> queue_;
+  std::vector<Job> spare_;  ///< processed jobs, reused by recycled_job()
   bool busy_ = false;
   bool stop_ = false;
   std::thread thread_;
@@ -246,7 +321,8 @@ Evaluator::Evaluator(ProblemPtr problem, EvalBackend backend,
                     pool == nullptr
                 ? &par::default_pool()
                 : pool),
-      batch_size_(resolve_eval_batch(eval_batch)) {
+      batch_size_(resolve_eval_batch(eval_batch)),
+      misses_(std::make_unique<CacheMisses>()) {
   int lanes = 1;
   switch (backend_) {
     case EvalBackend::kSerial:
@@ -361,27 +437,12 @@ void Evaluator::evaluate(std::span<const Genome> genomes,
   }
   // Filter hits on the calling thread, decode only the misses (still
   // batched through the backend), then publish the fresh values.
-  miss_genomes_.clear();
-  miss_hashes_.clear();
-  miss_slots_.clear();
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t hash = salted_key(genome_hash(genomes[i]), hash_salt_);
-    if (const auto value = cache_->lookup(hash, genomes[i])) {
-      objectives[i] = *value;
-    } else {
-      miss_genomes_.push_back(genomes[i]);
-      miss_hashes_.push_back(hash);
-      miss_slots_.push_back(i);
-    }
-  }
-  if (miss_genomes_.empty()) return;
-  miss_values_.resize(miss_genomes_.size());
-  raw_evaluate(miss_genomes_, miss_values_);
-  decode_calls_ += static_cast<long long>(miss_genomes_.size());
-  for (std::size_t j = 0; j < miss_genomes_.size(); ++j) {
-    cache_->insert(miss_hashes_[j], miss_genomes_[j], miss_values_[j]);
-    objectives[miss_slots_[j]] = miss_values_[j];
-  }
+  const std::size_t missed =
+      filter_misses(*cache_, hash_salt_, genomes, objectives, *misses_);
+  if (missed == 0) return;
+  raw_evaluate(misses_->live_genomes(), misses_->live_values());
+  decode_calls_ += static_cast<long long>(missed);
+  publish_misses(cache_.get(), *misses_);
 }
 
 void Evaluator::submit(std::span<const Genome> genomes,
@@ -402,30 +463,26 @@ void Evaluator::submit(std::span<const Genome> genomes,
             .count());
     inflight_timed_ = true;
   }
-  AsyncPipeline::Job job;
-  if (cache_ == nullptr) {
+  AsyncPipeline::Job job = pipeline_->recycled_job();
+  job.filtered = cache_ != nullptr;
+  if (!job.filtered) {
     job.genomes = genomes;
     job.out = objectives;
     pipeline_->submit(std::move(job));
     return;
   }
   // Hits resolve right here on the engine thread; only misses travel.
-  job.filtered = true;
+  std::size_t missed = 0;
   {
     const obs::Span filter_span(tracer_.get(), "cache_filter");
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint64_t hash =
-          salted_key(genome_hash(genomes[i]), hash_salt_);
-      if (const auto value = cache_->lookup(hash, genomes[i])) {
-        objectives[i] = *value;
-      } else {
-        job.miss_genomes.push_back(genomes[i]);
-        job.miss_hashes.push_back(hash);
-        job.miss_out.push_back(&objectives[i]);
-      }
-    }
+    missed = filter_misses(*cache_, hash_salt_, genomes, objectives,
+                           job.misses);
   }
-  if (!job.miss_genomes.empty()) pipeline_->submit(std::move(job));
+  if (missed == 0) {
+    pipeline_->give_back(std::move(job));
+    return;
+  }
+  pipeline_->submit(std::move(job));
 }
 
 void Evaluator::fence() {
@@ -456,16 +513,19 @@ void Evaluator::fence() {
 double Evaluator::evaluate_one(const Genome& genome) {
   fence();
   ++evaluations_;
-  if (cache_ != nullptr) {
-    const std::uint64_t hash = salted_key(genome_hash(genome), hash_salt_);
-    if (const auto value = cache_->lookup(hash, genome)) return *value;
-    const double objective = problem_->objective(genome, workspace(0));
+  if (cache_ == nullptr) {
     ++decode_calls_;
-    cache_->insert(hash, genome, objective);
+    return problem_->objective(genome, workspace(0));
+  }
+  double objective = 0.0;
+  if (filter_misses(*cache_, hash_salt_, {&genome, 1}, {&objective, 1},
+                    *misses_) == 0) {
     return objective;
   }
+  misses_->values[0] = problem_->objective(genome, workspace(0));
   ++decode_calls_;
-  return problem_->objective(genome, workspace(0));
+  publish_misses(cache_.get(), *misses_);
+  return objective;
 }
 
 void Evaluator::set_cache(EvalCachePtr cache) {

@@ -22,9 +22,11 @@
 // never what the decode returns, and evaluations() counts at submit time
 // on the engine thread, so evaluation-budget stops are backend-invariant.
 //
-// An optional EvalCache (set_cache) memoizes objectives by genome hash;
-// lookups happen on the engine thread, only the misses reach the backend,
-// and decode_calls() reports how many genomes were actually decoded.
+// An optional EvalCache (set_cache) memoizes objectives by
+// EvalCache::key; each batch is looked up with one lookup_many call on
+// the engine thread, only the misses reach the backend, they are
+// published with one insert_many, and decode_calls() reports how many
+// genomes were actually decoded.
 // Several evaluators may share one cache (islands, cluster ranks): cached
 // values come from the same pure objectives, so sharing never perturbs a
 // trace. Cache counters are exact on synchronous backends; under the
@@ -58,6 +60,7 @@ enum class EvalBackend {
 };
 
 class AsyncPipeline;  // internal to evaluator.cpp
+struct CacheMisses;  // internal to evaluator.cpp
 
 class Evaluator {
  public:
@@ -177,11 +180,8 @@ class Evaluator {
   std::unique_ptr<AsyncPipeline> pipeline_;
   long long evaluations_ = 0;
   long long decode_calls_ = 0;  ///< engine-thread decodes (sync paths)
-  // Reusable scratch for the cache-filtering path.
-  std::vector<Genome> miss_genomes_;
-  std::vector<std::uint64_t> miss_hashes_;
-  std::vector<std::size_t> miss_slots_;
-  std::vector<double> miss_values_;
+  /// Reusable miss buffers of the synchronous cache-filtering path.
+  std::unique_ptr<CacheMisses> misses_;
   // Observability sinks (set_obs). The shared handles keep the registry
   // and tracer alive; the raw pointers are the pre-resolved hot-path
   // handles (stable for the registry's lifetime).

@@ -1,15 +1,21 @@
 // The evaluation cache must be an invisible optimization: with
 // memoization on, every engine's best-fitness trace is bit-identical to
 // the uncached run on every backend, only the number of decode calls
-// changes. These tests pin that down, plus the genome hash the cache
-// keys on, exact counter accounting, and LRU eviction.
+// changes. These tests pin that down, plus the genome hash and the cache
+// key, exact counter accounting, LRU eviction against a reference model
+// of the policy, the batched calls, and concurrent use.
 #include "src/ga/eval_cache.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <list>
+#include <optional>
 #include <set>
 #include <string>
+#include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "src/ga/problems.h"
@@ -105,6 +111,92 @@ TEST(GenomeHash, SingleSwapChangesHash) {
   EXPECT_NE(genome_hash(a), genome_hash(b));
 }
 
+// --- cache key ---------------------------------------------------------------
+
+TEST(CacheKey, DeterministicAndEqualForEqualGenomes) {
+  Genome a;
+  a.seq = {3, 1, 0, 2};
+  a.assign = {0, 1};
+  a.keys = {0.25, 0.75};
+  Genome b = a;
+  EXPECT_EQ(EvalCache::key(a), EvalCache::key(a));
+  EXPECT_EQ(EvalCache::key(a), EvalCache::key(b));
+}
+
+TEST(CacheKey, AllPermutationsOfSixKeyDistinct) {
+  std::vector<int> seq = {0, 1, 2, 3, 4, 5};
+  std::set<std::uint64_t> keys;
+  std::size_t count = 0;
+  do {
+    keys.insert(EvalCache::key(perm_genome(seq)));
+    ++count;
+  } while (std::next_permutation(seq.begin(), seq.end()));
+  EXPECT_EQ(count, 720u);
+  EXPECT_EQ(keys.size(), count) << "permutation key collision";
+}
+
+TEST(CacheKey, RandomPermutationAndKeyGenomesKeyDistinct) {
+  par::Rng rng(99);
+  const ProblemPtr problem = flow_shop();
+  std::set<std::uint64_t> perm_keys;
+  std::set<std::vector<int>> perm_seen;
+  for (int i = 0; i < 2000; ++i) {
+    const Genome g = problem->random_genome(rng);
+    perm_seen.insert(g.seq);
+    perm_keys.insert(EvalCache::key(g));
+  }
+  EXPECT_EQ(perm_keys.size(), perm_seen.size());
+
+  std::set<std::uint64_t> key_keys;
+  for (int i = 0; i < 2000; ++i) {
+    Genome g;
+    g.keys.resize(12);
+    for (double& k : g.keys) k = rng.uniform();
+    key_keys.insert(EvalCache::key(g));
+  }
+  EXPECT_EQ(key_keys.size(), 2000u) << "random-key collision";
+}
+
+TEST(CacheKey, ChromosomeBoundariesDisambiguate) {
+  // The same values split differently across chromosomes, and an odd
+  // tail against its zero-padded twin, are different genomes and must
+  // key apart (length prefixes guarantee it).
+  Genome seq_both;
+  seq_both.seq = {1, 2};
+  Genome split;
+  split.seq = {1};
+  split.assign = {2};
+  Genome assign_both;
+  assign_both.assign = {1, 2};
+  Genome keys_only;
+  keys_only.keys = {1.0, 2.0};
+  Genome odd_tail;
+  odd_tail.seq = {1};
+  Genome padded_tail;
+  padded_tail.seq = {1, 0};
+  std::set<std::uint64_t> keys = {
+      EvalCache::key(seq_both),   EvalCache::key(split),
+      EvalCache::key(assign_both), EvalCache::key(keys_only),
+      EvalCache::key(Genome{}),   EvalCache::key(odd_tail),
+      EvalCache::key(padded_tail)};
+  EXPECT_EQ(keys.size(), 7u);
+}
+
+TEST(CacheKey, SingleSwapChangesKey) {
+  // Positions 2 and 6 land in different lanes, 0 and 8 in the same one,
+  // and 96/99 in the tail of a 100-operation genome.
+  std::vector<int> seq(100);
+  for (int i = 0; i < 100; ++i) seq[static_cast<std::size_t>(i)] = i;
+  const Genome a = perm_genome(seq);
+  for (const auto& [i, j] : {std::pair{2, 6}, std::pair{0, 8},
+                             std::pair{96, 99}, std::pair{0, 1}}) {
+    Genome b = a;
+    std::swap(b.seq[static_cast<std::size_t>(i)],
+              b.seq[static_cast<std::size_t>(j)]);
+    EXPECT_NE(EvalCache::key(a), EvalCache::key(b)) << i << "<->" << j;
+  }
+}
+
 // --- cache unit behavior -----------------------------------------------------
 
 EvalCacheConfig one_shard(EvalCacheMode mode, std::size_t capacity) {
@@ -180,6 +272,325 @@ TEST(EvalCacheUnit, UnboundedNeverEvicts) {
   }
   EXPECT_EQ(cache.stats().evictions, 0);
   EXPECT_GT(cache.size(), 2u);
+}
+
+// --- reference model ---------------------------------------------------------
+
+// The cache policy as a node-based map + recency list: the layout the
+// flat cache replaced. The flat cache must match it for every key —
+// results, counters and size after every operation.
+class ReferenceCache {
+ public:
+  explicit ReferenceCache(const EvalCacheConfig& config)
+      : lru_(config.mode == EvalCacheMode::kLru),
+        shards_(static_cast<std::size_t>(std::max(1, config.shards))) {
+    capacity_ = std::max<std::size_t>(1, config.capacity / shards_.size());
+  }
+
+  std::optional<double> lookup(std::uint64_t key, const Genome& genome) {
+    Shard& shard = shard_for(key);
+    const auto it = shard.map.find(key);
+    if (it == shard.map.end() || !(it->second.genome == genome)) {
+      ++shard.stats.misses;
+      return std::nullopt;
+    }
+    if (lru_) shard.order.splice(shard.order.begin(), shard.order, it->second.lru);
+    ++shard.stats.hits;
+    return it->second.objective;
+  }
+
+  void insert(std::uint64_t key, const Genome& genome, double objective) {
+    Shard& shard = shard_for(key);
+    ++shard.stats.inserts;
+    const auto it = shard.map.find(key);
+    if (it != shard.map.end()) {
+      it->second.genome = genome;
+      it->second.objective = objective;
+      if (lru_) {
+        shard.order.splice(shard.order.begin(), shard.order, it->second.lru);
+      }
+      return;
+    }
+    Entry entry{genome, objective, {}};
+    if (lru_) {
+      shard.order.push_front(key);
+      entry.lru = shard.order.begin();
+    }
+    shard.map.emplace(key, std::move(entry));
+    if (lru_ && shard.map.size() > capacity_) {
+      shard.map.erase(shard.order.back());
+      shard.order.pop_back();
+      ++shard.stats.evictions;
+    }
+  }
+
+  EvalCacheStats stats() const {
+    EvalCacheStats total;
+    for (const Shard& shard : shards_) {
+      total.hits += shard.stats.hits;
+      total.misses += shard.stats.misses;
+      total.inserts += shard.stats.inserts;
+      total.evictions += shard.stats.evictions;
+    }
+    return total;
+  }
+
+  std::size_t size() const {
+    std::size_t size = 0;
+    for (const Shard& shard : shards_) size += shard.map.size();
+    return size;
+  }
+
+ private:
+  struct Entry {
+    Genome genome;
+    double objective = 0.0;
+    std::list<std::uint64_t>::iterator lru;
+  };
+  struct Shard {
+    std::unordered_map<std::uint64_t, Entry> map;
+    std::list<std::uint64_t> order;  ///< front = most recently used
+    EvalCacheStats stats;
+  };
+  Shard& shard_for(std::uint64_t key) {
+    return shards_[static_cast<std::size_t>(key >> 32) % shards_.size()];
+  }
+
+  bool lru_;
+  std::size_t capacity_;
+  std::vector<Shard> shards_;
+};
+
+void expect_same_stats(const EvalCacheStats& a, const EvalCacheStats& b) {
+  EXPECT_EQ(a.hits, b.hits);
+  EXPECT_EQ(a.misses, b.misses);
+  EXPECT_EQ(a.inserts, b.inserts);
+  EXPECT_EQ(a.evictions, b.evictions);
+}
+
+/// Genomes of three lengths (so rewritten slots change length) and the
+/// key each one is filed under: its EvalCache::key, or — for a quarter
+/// of the draws — one of a few shared keys, forcing collisions.
+struct DifferentialPool {
+  std::vector<Genome> genomes;
+  std::vector<std::uint64_t> collision_keys;
+
+  explicit DifferentialPool(par::Rng& rng) {
+    for (const int length : {3, 9, 20}) {
+      for (int i = 0; i < 14; ++i) {
+        Genome g;
+        g.seq.resize(static_cast<std::size_t>(length));
+        for (int& v : g.seq) v = rng.range(0, 5);
+        genomes.push_back(std::move(g));
+      }
+    }
+    for (int i = 0; i < 4; ++i) collision_keys.push_back(rng());
+  }
+
+  std::pair<std::uint64_t, const Genome*> draw(par::Rng& rng) const {
+    const Genome& g = genomes[rng.below(genomes.size())];
+    const std::uint64_t key = rng.chance(0.25)
+                                  ? collision_keys[rng.below(collision_keys.size())]
+                                  : EvalCache::key(g);
+    return {key, &g};
+  }
+};
+
+TEST(EvalCacheDifferential, MatchesReferenceModelAfterEveryOperation) {
+  for (const EvalCacheMode mode : {EvalCacheMode::kLru, EvalCacheMode::kUnbounded}) {
+    for (const std::size_t capacity : {1u, 3u, 17u}) {
+      for (const int shards : {1, 4}) {
+        SCOPED_TRACE(testing::Message()
+                     << "mode " << static_cast<int>(mode) << " capacity "
+                     << capacity << " shards " << shards);
+        EvalCacheConfig cfg;
+        cfg.mode = mode;
+        cfg.capacity = capacity;
+        cfg.shards = shards;
+        EvalCache cache(cfg);
+        ReferenceCache reference(cfg);
+        par::Rng rng(1000 + capacity * 10 + static_cast<std::size_t>(shards));
+        const DifferentialPool pool(rng);
+        for (int op = 0; op < 3000; ++op) {
+          const auto [key, genome] = pool.draw(rng);
+          if (rng.chance(0.5)) {
+            const auto got = cache.lookup(key, *genome);
+            const auto want = reference.lookup(key, *genome);
+            ASSERT_EQ(got, want) << "op " << op;
+          } else {
+            const double value = static_cast<double>(op);
+            cache.insert(key, *genome, value);
+            reference.insert(key, *genome, value);
+          }
+          ASSERT_EQ(cache.size(), reference.size()) << "op " << op;
+          expect_same_stats(cache.stats(), reference.stats());
+          if (HasFailure()) return;
+        }
+        if (mode == EvalCacheMode::kLru) {
+          EXPECT_GT(cache.stats().evictions, 0);
+        }
+      }
+    }
+  }
+}
+
+TEST(EvalCacheDifferential, BatchedCallsEqualTheOneAtATimeLoop) {
+  for (const std::size_t capacity : {1u, 3u, 17u}) {
+    for (const int shards : {1, 4}) {
+      SCOPED_TRACE(testing::Message()
+                   << "capacity " << capacity << " shards " << shards);
+      EvalCacheConfig cfg;
+      cfg.mode = EvalCacheMode::kLru;
+      cfg.capacity = capacity;
+      cfg.shards = shards;
+      EvalCache batched(cfg);
+      EvalCache looped(cfg);
+      par::Rng rng(2000 + capacity * 10 + static_cast<std::size_t>(shards));
+      const DifferentialPool pool(rng);
+      for (int round = 0; round < 300; ++round) {
+        // A batch with in-batch duplicates and forced collisions.
+        const std::size_t n = 1 + rng.below(24);
+        std::vector<std::uint64_t> keys(n);
+        std::vector<Genome> genomes(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          const auto [key, genome] = pool.draw(rng);
+          keys[i] = key;
+          genomes[i] = *genome;
+        }
+        std::vector<double> out(n, -1.0);
+        std::vector<std::uint8_t> hit(n, 2);
+        const std::size_t hits = batched.lookup_many(keys, genomes, out, hit);
+        std::size_t looped_hits = 0;
+        for (std::size_t i = 0; i < n; ++i) {
+          const auto want = looped.lookup(keys[i], genomes[i]);
+          ASSERT_EQ(hit[i] != 0, want.has_value()) << "round " << round;
+          if (want.has_value()) {
+            ++looped_hits;
+            ASSERT_EQ(out[i], *want);
+          } else {
+            ASSERT_EQ(out[i], -1.0) << "a miss must leave out[i] alone";
+          }
+        }
+        ASSERT_EQ(hits, looped_hits);
+        std::vector<double> values(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          values[i] = static_cast<double>(round * 100 + static_cast<int>(i));
+        }
+        batched.insert_many(keys, genomes, values);
+        for (std::size_t i = 0; i < n; ++i) {
+          looped.insert(keys[i], genomes[i], values[i]);
+        }
+        ASSERT_EQ(batched.size(), looped.size());
+        expect_same_stats(batched.stats(), looped.stats());
+        if (HasFailure()) return;
+      }
+      // Equal LRU state: the same single-item probes and inserts keep
+      // answering alike, so the eviction order that follows is equal.
+      for (int op = 0; op < 500; ++op) {
+        const auto [key, genome] = pool.draw(rng);
+        ASSERT_EQ(batched.lookup(key, *genome), looped.lookup(key, *genome))
+            << "probe " << op;
+        if (rng.chance(0.3)) {
+          batched.insert(key, *genome, op);
+          looped.insert(key, *genome, op);
+        }
+      }
+      expect_same_stats(batched.stats(), looped.stats());
+    }
+  }
+}
+
+TEST(EvalCacheDifferential, IndexSurvivesGrowthAndDeletionChurn) {
+  // Thousands of random keys through one shard: the index doubles many
+  // times, and a tight LRU bound deletes through long probe runs. Every
+  // stored entry must stay findable and every evicted one gone.
+  for (const EvalCacheMode mode : {EvalCacheMode::kUnbounded, EvalCacheMode::kLru}) {
+    EvalCacheConfig cfg;
+    cfg.mode = mode;
+    cfg.capacity = 257;
+    cfg.shards = 1;
+    EvalCache cache(cfg);
+    ReferenceCache reference(cfg);
+    par::Rng rng(77);
+    const Genome g = perm_genome({0, 1, 2});
+    std::vector<std::uint64_t> keys;
+    for (int i = 0; i < 5000; ++i) {
+      keys.push_back(rng());
+      cache.insert(keys.back(), g, i);
+      reference.insert(keys.back(), g, i);
+    }
+    ASSERT_EQ(cache.size(), reference.size());
+    for (std::size_t i = keys.size(); i-- > 0;) {
+      ASSERT_EQ(cache.lookup(keys[i], g), reference.lookup(keys[i], g)) << i;
+    }
+    expect_same_stats(cache.stats(), reference.stats());
+  }
+}
+
+// --- concurrency -------------------------------------------------------------
+
+TEST(EvalCacheConcurrency, BatchedCallsFromFourThreadsStayExact) {
+  // Four threads share one small LRU cache (constant eviction) through
+  // the batched calls. A hit must always carry that genome's own
+  // objective, and the counters must add up exactly.
+  const ProblemPtr problem = flow_shop();
+  par::Rng seeder(5);
+  std::vector<Genome> pool;
+  std::vector<double> truth;
+  auto workspace = problem->make_workspace();
+  for (int i = 0; i < 160; ++i) {
+    pool.push_back(problem->random_genome(seeder));
+    truth.push_back(problem->objective(pool.back(), *workspace));
+  }
+  EvalCacheConfig cfg;
+  cfg.mode = EvalCacheMode::kLru;
+  cfg.capacity = 48;
+  cfg.shards = 4;
+  EvalCache cache(cfg);
+  constexpr int kThreads = 4;
+  std::atomic<long long> lookups{0};
+  std::atomic<long long> hits{0};
+  std::atomic<long long> wrong{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      par::Rng rng(100 + static_cast<std::uint64_t>(t));
+      std::vector<std::size_t> picks;
+      std::vector<std::uint64_t> keys;
+      std::vector<Genome> genomes;
+      std::vector<double> out;
+      std::vector<std::uint8_t> hit;
+      for (int round = 0; round < 1500; ++round) {
+        const std::size_t n = 1 + rng.below(32);
+        picks.resize(n);
+        keys.resize(n);
+        genomes.resize(n);
+        out.assign(n, -1.0);
+        hit.resize(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          picks[i] = rng.below(pool.size());
+          genomes[i] = pool[picks[i]];
+          keys[i] = EvalCache::key(genomes[i]);
+        }
+        hits += static_cast<long long>(cache.lookup_many(keys, genomes, out, hit));
+        lookups += static_cast<long long>(n);
+        std::vector<double> values(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          if (hit[i] != 0 && out[i] != truth[picks[i]]) ++wrong;
+          values[i] = truth[picks[i]];
+        }
+        cache.insert_many(keys, genomes, values);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  const EvalCacheStats stats = cache.stats();
+  EXPECT_EQ(wrong.load(), 0) << "a hit returned another genome's objective";
+  EXPECT_EQ(stats.hits, hits.load());
+  EXPECT_EQ(stats.hits + stats.misses, lookups.load());
+  EXPECT_EQ(stats.inserts, lookups.load());
+  EXPECT_GT(stats.evictions, 0);
+  EXPECT_LE(cache.size(), cfg.capacity);
 }
 
 // --- evaluator integration: exact accounting ---------------------------------
