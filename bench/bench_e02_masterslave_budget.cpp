@@ -27,13 +27,14 @@ int main() {
   ga::GaConfig cfg;
   cfg.population = 1056;  // the paper's population size
   cfg.seed = 1;
+  cfg.eval_backend = ga::EvalBackend::kThreadPool;  // the master-slave model
   const double budget = 0.3 * bench::scale();  // scaled stand-in for 300 s
 
   stats::Table table({"workers", "explored solutions", "vs 1 worker"});
   long long base = 0;
   for (int workers : {1, 2, 4, 8, 16, 24}) {
     par::ThreadPool pool(workers);
-    const auto engine = ga::make_master_slave_engine(problem, cfg, &pool);
+    const auto engine = ga::make_engine(problem, cfg, &pool);
     const ga::GaResult result =
         engine->run(ga::StopCondition::time_budget(budget));
     if (workers == 1) base = result.evaluations;

@@ -41,7 +41,9 @@ int main() {
       serial_s = bench::time_seconds([&] { serial->run(); });
     }
     {
-      const auto parallel = ga::make_master_slave_engine(problem, cfg, &pool);
+      ga::GaConfig master_slave = cfg;
+      master_slave.eval_backend = ga::EvalBackend::kThreadPool;
+      const auto parallel = ga::make_engine(problem, master_slave, &pool);
       parallel_s = bench::time_seconds([&] { parallel->run(); });
     }
     const double speedup = serial_s / parallel_s;

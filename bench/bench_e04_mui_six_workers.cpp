@@ -35,7 +35,8 @@ int main() {
   stats::Table table({"configuration", "seconds", "time saving"});
   table.add_row({"sequential", stats::Table::num(serial_s, 3), "1.00x"});
   par::ThreadPool pool(6);
-  const auto parallel = ga::make_master_slave_engine(problem, cfg, &pool);
+  cfg.eval_backend = ga::EvalBackend::kThreadPool;  // the master-slave model
+  const auto parallel = ga::make_engine(problem, cfg, &pool);
   const double parallel_s = bench::time_seconds([&] { parallel->run(); });
   table.add_row({"master-slave, 6 workers", stats::Table::num(parallel_s, 3),
                  stats::Table::num(serial_s / parallel_s, 2) + "x"});

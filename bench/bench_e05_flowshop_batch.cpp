@@ -44,9 +44,10 @@ int main() {
   stats::Table table({"workers", "seconds", "speedup", "best Cmax"});
   table.add_row({"1 (serial)", stats::Table::num(serial_s, 3), "1.00x",
                  stats::Table::num(best, 0)});
+  cfg.eval_backend = ga::EvalBackend::kThreadPool;  // the master-slave model
   for (int workers : {2, 4, 8, 16}) {
     par::ThreadPool pool(workers);
-    const auto parallel = ga::make_master_slave_engine(problem, cfg, &pool);
+    const auto parallel = ga::make_engine(problem, cfg, &pool);
     ga::GaResult r;
     const double s = bench::time_seconds([&] { r = parallel->run(); });
     table.add_row({std::to_string(workers), stats::Table::num(s, 3),

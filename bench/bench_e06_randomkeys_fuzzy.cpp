@@ -52,10 +52,11 @@ int main() {
   ga::GaConfig ms = cfg.base;
   ms.population = 256;
   ms.termination.max_generations = 8;
+  ms.eval_backend = ga::EvalBackend::kThreadPool;  // the master-slave model
   double base_s = 0.0;
   for (int workers : {1, 4, 8, 16}) {
     par::ThreadPool pool(workers);
-    const auto engine2 = ga::make_master_slave_engine(problem, ms, &pool);
+    const auto engine2 = ga::make_engine(problem, ms, &pool);
     const double s = bench::time_seconds([&] { engine2->run(); });
     if (workers == 1) base_s = s;
     scaling.add_row({std::to_string(workers), stats::Table::num(s, 3),

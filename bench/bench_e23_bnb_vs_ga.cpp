@@ -43,7 +43,8 @@ int main() {
     cfg.population = 64;
     cfg.termination.max_generations = 30 * bench::scale();
     cfg.seed = 23;
-    const auto engine = ga::make_master_slave_engine(problem, cfg, &pool);
+    cfg.eval_backend = ga::EvalBackend::kThreadPool;  // the master-slave model
+    const auto engine = ga::make_engine(problem, cfg, &pool);
     const ga::GaResult approx = engine->run();
 
     sched::BranchBoundConfig warm = cold;

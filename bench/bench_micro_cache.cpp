@@ -1,9 +1,8 @@
-// Micro-benchmarks: the evaluation cache and the async pipeline. The
-// headline numbers land in BENCH_micro.json via ci.sh:
+// Micro-benchmarks: the evaluation cache. The headline numbers land in
+// BENCH_micro.json via ci.sh:
 //   - hit_rate / decode_reduction counters on a heavy-elitism island run
 //     (the acceptance bar: >= 30% fewer decode calls with the cache on);
 //   - cached vs uncached engine throughput on a decode-heavy job shop;
-//   - async-pipeline vs synchronous master-slave generation throughput;
 //   - the cache layer itself (BM_Cache*, under ci.sh's regression gate):
 //     all-hit and all-miss batches, an insert that evicts from a full
 //     table, and the cache key against genome_hash.
@@ -80,27 +79,6 @@ BENCHMARK(BM_SimpleElitistRun)
     ->Arg(0)
     ->Arg(1)
     ->ArgNames({"cache"})
-    ->Unit(benchmark::kMillisecond);
-
-// Master-slave throughput, synchronous pool vs async pipeline (breeding
-// overlaps evaluation up to the generation fence). Traces are identical;
-// only wall-clock may differ.
-void BM_MasterSlavePipeline(benchmark::State& state) {
-  const bool async = state.range(0) != 0;
-  const std::string spec =
-      std::string("engine=master-slave pop=64 seed=13 eval=") +
-      (async ? "async_pool" : "pool");
-  const ProblemPtr problem = job_shop();
-  for (auto _ : state) {
-    Solver solver = Solver::build(SolverSpec::parse(spec), problem);
-    const RunResult r = solver.run(StopCondition::generations(10));
-    benchmark::DoNotOptimize(r.best_objective);
-  }
-}
-BENCHMARK(BM_MasterSlavePipeline)
-    ->Arg(0)
-    ->Arg(1)
-    ->ArgNames({"async"})
     ->Unit(benchmark::kMillisecond);
 
 // Raw cache-layer overhead: lookup+hit on a full batch (the per-genome

@@ -4,7 +4,7 @@
 #   ./ci.sh            build, run the full ctest suite, repeat the
 #                      service/dispatch/session tests 20 times in
 #                      parallel (the flake leg), rebuild the
-#                      cache/async/sweep/service/golden-trace suites under
+#                      cache/sweep/service/golden-trace suites under
 #                      ASan/UBSan and run them, run a psga_sweep smoke
 #                      sweep (JSONL + summary validated), run a psgad
 #                      service smoke (submit/watch/cancel/drain over a
@@ -47,12 +47,12 @@ cmake --build "$BUILD_DIR" -j "$JOBS"
 (cd "$BUILD_DIR" && ctest --output-on-failure -j "$JOBS" \
    -R 'Service\.|Dispatch\.|Session' --repeat until-fail:20)
 
-# Sanitizer leg: the cache/async suites stress a double-buffered pipeline
-# (coordinator threads writing objective slots the engine thread reads
-# after the fence), the sweep suite races whole solver runs across
-# lanes, and the golden-trace suite drives the crossovers' per-thread
-# scratch from several threads, so run exactly those binaries under
-# ASan/UBSan.
+# Sanitizer leg: the cache suites hammer the sharded evaluation cache
+# from several lanes and pool-backed evaluators, the sweep suite races
+# whole solver runs across lanes, the service/session suites race
+# sockets and worker threads, and the golden-trace suite drives the
+# crossovers' per-thread scratch from several threads, so run exactly
+# those suites under ASan/UBSan.
 if [[ "${SKIP_SAN:-0}" != "1" ]]; then
   SAN_DIR=${SAN_DIR:-build-asan}
   cmake -B "$SAN_DIR" -S . -DPSGA_SANITIZE=ON \
@@ -169,7 +169,7 @@ if [[ -x "$BUILD_DIR/psgad" && -x "$BUILD_DIR/psgactl" ]] \
     || { echo "ci.sh: psgad did not come up on $SVC_SOCKET"; exit 1; }
 
   SVC_JOB=$("$BUILD_DIR"/psgactl --socket "$SVC_SOCKET" submit \
-    'problem=flowshop instance=ta001 engine=island eval=async_pool seed=7' \
+    'problem=flowshop instance=ta001 engine=island eval=pool seed=7' \
     --generations 10)
   SVC_WATCH=$(mktemp /tmp/psgad_ci_watch.XXXXXX.jsonl)
   "$BUILD_DIR"/psgactl --socket "$SVC_SOCKET" watch "$SVC_JOB" > "$SVC_WATCH"
@@ -456,7 +456,7 @@ with open(sys.argv[1], "w") as f:
 PYEOF
   fi
 
-  # Merge the cache/async bench into the same snapshot so the
+  # Merge the cache bench into the same snapshot so the
   # hit-rate/decode-reduction counters live in BENCH_micro.json. Medians
   # of 5: the BM_Cache* rows (the cache layer itself) are gated.
   if [[ -x "$BUILD_DIR/bench_micro_cache" ]] && command -v python3 >/dev/null; then

@@ -46,9 +46,6 @@ struct CellularConfig {
   EvalCachePtr shared_eval_cache;
   /// Cache-key namespace (see GaConfig::cache_salt); 0 = none.
   std::uint64_t cache_salt = 0;
-  /// Restrict a kAsyncPool pipeline to its coordinator thread (set by
-  /// engines whose outer level owns the pool).
-  bool async_coordinator_only = false;
   /// objective_batch chunk size (0 = auto; see GaConfig::eval_batch).
   int eval_batch = 0;
   Termination termination;

@@ -35,9 +35,7 @@
 // per call and visit a shard's items in index order; shards are
 // independent, so results, counters and LRU order equal a one-at-a-time
 // loop. lookup/insert are the one-item forms of the same locked code.
-// Counters are exact under any synchronous backend; with the async
-// pipeline the hit/miss split of intra-batch duplicates depends on
-// insert timing (the values never do).
+// Counters are exact: every looked-up genome is one hit or one miss.
 #pragma once
 
 #include <cstdint>

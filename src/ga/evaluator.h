@@ -8,19 +8,11 @@
 //   kThreadPool — the library thread pool, one static chunk + Workspace
 //                 per lane (the master-slave model of Table III);
 //   kOpenMp     — the OpenMP runtime with the same static chunking
-//                 (serial when OpenMP is not compiled in);
-//   kAsyncPool  — the pipelined mode: submit() enqueues batches on a
-//                 coordinator thread and returns immediately, so an
-//                 engine keeps breeding generation g+1 while earlier
-//                 blocks of it are already being evaluated; fence() is
-//                 the generation fence that every objective read (elitism
-//                 sort, migration, run-loop bookkeeping) must cross.
+//                 (serial when OpenMP is not compiled in).
 // Objectives are pure, and the chunk→lane mapping is deterministic, so
 // results are bit-identical across backends and thread counts; Workspaces
-// only recycle allocations, never carry state between genomes. The async
-// pipeline preserves that contract: it changes *when* a batch is decoded,
-// never what the decode returns, and evaluations() counts at submit time
-// on the engine thread, so evaluation-budget stops are backend-invariant.
+// only recycle allocations, never carry state between genomes. Every call
+// is synchronous: when evaluate() returns, every objective is written.
 //
 // An optional EvalCache (set_cache) memoizes objectives by
 // EvalCache::key; each batch is looked up with one lookup_many call on
@@ -29,14 +21,14 @@
 // genomes were actually decoded.
 // Several evaluators may share one cache (islands, cluster ranks): cached
 // values come from the same pure objectives, so sharing never perturbs a
-// trace. Cache counters are exact on synchronous backends; under the
-// async pipeline the hit/miss split of intra-flight duplicates depends on
-// insert timing (values never do).
+// trace. hits + misses always equals the genomes looked up; when sharers
+// evaluate concurrently (islands stepping in parallel), which of them
+// decodes a common genome first — the hit/miss split — depends on
+// their interleaving.
 //
 // An Evaluator instance is NOT re-entrant: it owns one Workspace per lane.
 // Engines that evaluate from several threads at once (islands stepping in
-// parallel) give each inner engine its own serial — or coordinator-only
-// async — Evaluator instead.
+// parallel) give each inner engine its own serial Evaluator instead.
 #pragma once
 
 #include <memory>
@@ -56,21 +48,15 @@ enum class EvalBackend {
   kSerial,      ///< calling thread only
   kThreadPool,  ///< the library thread pool (master-slave slaves)
   kOpenMp,      ///< OpenMP parallel-for (serial if not compiled in)
-  kAsyncPool,   ///< pipelined submit()/fence() on a coordinator thread
 };
 
-class AsyncPipeline;  // internal to evaluator.cpp
 struct CacheMisses;  // internal to evaluator.cpp
 
 class Evaluator {
  public:
   /// `pool` may be null — the library default pool is used (only relevant
-  /// for the thread-pool and async backends). `async_coordinator_only`
-  /// restricts the async pipeline to its coordinator thread instead of
-  /// fanning batches out on the pool — set by engines whose outer level
-  /// already owns the pool (parallel island steps, cluster ranks), where
-  /// a nested fork-join would contend or deadlock. `eval_batch` is the
-  /// chunk size handed to Problem::objective_batch on every backend:
+  /// for the thread-pool backend). `eval_batch` is the chunk size handed
+  /// to Problem::objective_batch on every backend:
   /// 0 = auto (a lane-width-friendly default block), otherwise the exact
   /// block size (1 degenerates to per-genome calls). Objectives are pure
   /// and the chunk→genome mapping is deterministic, so the value never
@@ -78,56 +64,42 @@ class Evaluator {
   /// kernel invocation sees.
   explicit Evaluator(ProblemPtr problem,
                      EvalBackend backend = EvalBackend::kSerial,
-                     par::ThreadPool* pool = nullptr,
-                     bool async_coordinator_only = false,
-                     int eval_batch = 0);
+                     par::ThreadPool* pool = nullptr, int eval_batch = 0);
   ~Evaluator();
   Evaluator(Evaluator&&) noexcept;
   Evaluator& operator=(Evaluator&&) noexcept;
 
   /// Fills objectives[i] = problem objective of genomes[i]. Spans must
-  /// have equal size. Counts toward evaluations(). Synchronous on every
-  /// backend: on kAsyncPool this is submit() + fence().
+  /// have equal size. Counts toward evaluations().
   void evaluate(std::span<const Genome> genomes, std::span<double> objectives);
 
-  /// Pipelined entry point. On kAsyncPool: resolves cache hits
-  /// immediately, enqueues the rest and returns — both spans must stay
-  /// valid and untouched until the next fence(). On synchronous backends
-  /// this is evaluate(). Counts toward evaluations() at submit time.
-  void submit(std::span<const Genome> genomes, std::span<double> objectives);
-
-  /// The generation fence: blocks until every submitted batch has been
-  /// evaluated and written back. No-op on synchronous backends.
-  void fence();
-
   /// Single-genome convenience on lane 0's Workspace (local search, B&B
-  /// comparisons). Fences first on kAsyncPool. Counts toward
-  /// evaluations().
+  /// comparisons). Counts toward evaluations() and, when decoded, toward
+  /// the same decode metrics as evaluate().
   double evaluate_one(const Genome& genome);
 
-  /// Attaches (or clears) the memoization cache. Call while no batch is
-  /// in flight. The cache may be shared with other evaluators.
+  /// Attaches (or clears) the memoization cache. The cache may be shared
+  /// with other evaluators.
   void set_cache(EvalCachePtr cache);
 
-  /// Namespaces this evaluator's cache keys (same in-flight rule as
-  /// set_cache). A cache shared across *different* objective landscapes —
-  /// the session layer's cross-replan store, where the same suffix genome
-  /// means different schedules under different frozen prefixes and
-  /// downtimes — must keep their entries apart. The salt is folded into
-  /// the key through a bijective mixer, so for any fixed genome distinct
-  /// salts can never produce the same key: a cross-namespace hit is
-  /// impossible, not merely improbable, and the cache's genome-equality
-  /// check still catches ordinary hash collisions within a namespace.
+  /// Namespaces this evaluator's cache keys. A cache shared across
+  /// *different* objective landscapes — the session layer's cross-replan
+  /// store, where the same suffix genome means different schedules under
+  /// different frozen prefixes and downtimes — must keep their entries
+  /// apart. The salt is folded into the key through a bijective mixer, so
+  /// for any fixed genome distinct salts can never produce the same key:
+  /// a cross-namespace hit is impossible, not merely improbable, and the
+  /// cache's genome-equality check still catches ordinary hash
+  /// collisions within a namespace.
   /// Salt 0 (the default) leaves keys exactly as before.
   void set_hash_salt(std::uint64_t salt);
 
   /// Attaches the observability sinks (both may be null). Handles into
   /// `metrics` are resolved once, here — the hot path then costs two
   /// clock reads plus a few relaxed adds per *batch*, never per genome.
-  /// Fences first; call while no batch is in flight (the set_cache rule).
   /// Metric names: eval.decode_ns / eval.batch_size / eval.decoded_genomes
-  /// on every decode batch, eval.fence_wait_ns + eval.submit_to_fence_ns
-  /// on the pipelined backend. Spans: decode, submit, fence, cache_filter.
+  /// on every decode batch (evaluate_one's single decode included).
+  /// Span: decode.
   void set_obs(obs::RegistryPtr metrics, std::shared_ptr<obs::Tracer> tracer);
   const EvalCache* cache() const { return cache_.get(); }
   /// Shared handle for per-run stat snapshots (Engine::eval_cache_shared).
@@ -140,33 +112,28 @@ class Evaluator {
 
   /// Genomes actually decoded (cache misses reaching the backend).
   /// Equals evaluations() when no cache is attached.
-  long long decode_calls() const noexcept;
+  long long decode_calls() const noexcept { return decode_calls_; }
 
   EvalBackend backend() const noexcept { return backend_; }
   /// Resolved objective_batch chunk size (the auto default when the
   /// constructor was given 0).
   int eval_batch() const noexcept { return static_cast<int>(batch_size_); }
-  /// True when submit() actually pipelines (kAsyncPool).
-  bool pipelined() const noexcept { return backend_ == EvalBackend::kAsyncPool; }
   const Problem& problem() const noexcept { return *problem_; }
 
-  /// Worker-lane count of the active backend (1 for kSerial and for the
-  /// engine-thread side of kAsyncPool).
+  /// Worker-lane count of the active backend (1 for kSerial).
   int lanes() const noexcept { return static_cast<int>(workspaces_.size()); }
-
-  /// Decode lanes behind the async pipeline (0 when not pipelined).
-  /// Engines size their submit blocks from this so a wide pool is not
-  /// dispatched over a handful of genomes.
-  int pipeline_width() const noexcept;
 
  private:
   Workspace& workspace(std::size_t lane) { return *workspaces_[lane]; }
-  /// Backend dispatch without cache filtering (the decode path).
-  /// Instrumented wrapper over raw_evaluate_impl.
+  /// The one metered decode: runs `decode` (which decodes `count`
+  /// genomes) under the decode span, eval.decode_ns / eval.batch_size /
+  /// eval.decoded_genomes and decode_calls(). Both the batch path and
+  /// evaluate_one's single decode go through it.
+  template <typename Decode>
+  void metered_decode(std::size_t count, Decode&& decode);
+  /// Backend dispatch without cache filtering or metering.
   void raw_evaluate(std::span<const Genome> genomes,
                     std::span<double> objectives);
-  void raw_evaluate_impl(std::span<const Genome> genomes,
-                         std::span<double> objectives);
 
   ProblemPtr problem_;
   EvalBackend backend_;
@@ -175,11 +142,8 @@ class Evaluator {
   std::vector<std::unique_ptr<Workspace>> workspaces_;  // one per lane
   EvalCachePtr cache_;
   std::uint64_t hash_salt_ = 0;  ///< cache-key namespace (see set_hash_salt)
-  /// Present only on kAsyncPool; self-contained (own workspaces, own
-  /// decode counter) so the Evaluator stays movable while jobs run.
-  std::unique_ptr<AsyncPipeline> pipeline_;
   long long evaluations_ = 0;
-  long long decode_calls_ = 0;  ///< engine-thread decodes (sync paths)
+  long long decode_calls_ = 0;
   /// Reusable miss buffers of the synchronous cache-filtering path.
   std::unique_ptr<CacheMisses> misses_;
   // Observability sinks (set_obs). The shared handles keep the registry
@@ -190,10 +154,6 @@ class Evaluator {
   obs::Histogram* decode_ns_ = nullptr;
   obs::Histogram* batch_size_hist_ = nullptr;
   obs::Counter* decoded_genomes_ = nullptr;
-  obs::Histogram* fence_wait_ns_ = nullptr;
-  obs::Histogram* submit_to_fence_ns_ = nullptr;
-  std::uint64_t inflight_since_ns_ = 0;  ///< first submit since last fence
-  bool inflight_timed_ = false;
 };
 
 }  // namespace psga::ga

@@ -28,8 +28,7 @@ void IslandsOfCellularGa::init() {
   islands_.clear();
   islands_.reserve(static_cast<std::size_t>(config_.islands));
   // The islands step sequentially (each internally parallel over
-  // cells), so their evaluators may keep any backend, including
-  // pool-carried async.
+  // cells), so their evaluators may keep any backend, the pool included.
   for (int i = 0; i < config_.islands; ++i) {
     CellularConfig cell = config_.cell;
     cell.shared_eval_cache = cache_;

@@ -106,9 +106,7 @@ RunResult ClusterIslandGa::run(const StopCondition& stop) {
 
   cluster.run([&](par::Rank& rank) {
     // Ranks are concurrent threads; inner_engine_config keeps their
-    // evaluation off the shared pool — serial on-rank, or a
-    // coordinator-only async pipeline so a rank's breeding overlaps its
-    // own evaluation.
+    // evaluation off the shared pool (serial on-rank).
     GaConfig cfg = inner_engine_config(config_.base, cache_);
     cfg.seed = rank_seeds[static_cast<std::size_t>(rank.id())];
     cfg.termination = stop;

@@ -40,7 +40,7 @@ void MemeticGa::step() {
           inner_->objectives()[static_cast<std::size_t>(slot)];
       // Climbs evaluate through the inner engine's Evaluator: counted
       // toward budgets like any evaluation, memoized by the cache, and
-      // fenced against the async pipeline.
+      // metered as decodes.
       climbs_->add();
       double after = local_search_swap(inner_->evaluator(), candidate,
                                        config_.search_budget, rng_);

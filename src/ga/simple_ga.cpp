@@ -33,11 +33,7 @@ OperatorConfig default_operators(const Problem& problem) {
 }
 
 GaConfig inner_engine_config(GaConfig base, EvalCachePtr shared_cache) {
-  if (base.eval_backend == EvalBackend::kAsyncPool) {
-    base.async_coordinator_only = true;
-  } else {
-    base.eval_backend = EvalBackend::kSerial;
-  }
+  base.eval_backend = EvalBackend::kSerial;
   base.shared_eval_cache = std::move(shared_cache);
   return base;
 }
@@ -46,8 +42,7 @@ SimpleGa::SimpleGa(ProblemPtr problem, GaConfig config, par::ThreadPool* pool)
     : problem_(std::move(problem)),
       config_(std::move(config)),
       rng_(config_.seed),
-      evaluator_(problem_, config_.eval_backend, pool,
-                 config_.async_coordinator_only, config_.eval_batch) {
+      evaluator_(problem_, config_.eval_backend, pool, config_.eval_batch) {
   if (!config_.ops.selection || !config_.ops.crossover || !config_.ops.mutation) {
     OperatorConfig defaults = default_operators(*problem_);
     if (!config_.ops.selection) config_.ops.selection = defaults.selection;
@@ -154,33 +149,12 @@ void SimpleGa::step() {
   const int bred = population - elites - immigrants;
 
   // Double-buffered breeding: children land in fixed slots of the next
-  // buffers, so with the async pipeline every flushed block is stable
-  // memory the coordinator can evaluate while breeding continues below
-  // it. Breeding and evaluation overlap *within* the generation; the
-  // fence before the buffer swap is the generation fence — no objective
-  // of generation g+1 is read before it, so traces stay bit-identical
-  // to the synchronous backends.
+  // buffers (reusing their genome storage), the whole generation is
+  // evaluated in one batch, and only then do the buffers swap with
+  // population_/objectives_.
   next_population_.resize(static_cast<std::size_t>(population));
   next_objectives_.assign(static_cast<std::size_t>(population), 0.0);
-  const bool pipelined = evaluator_.pipelined();
-  // Flush granularity: a handful of blocks per generation keeps the
-  // coordinator busy without paying a queue round-trip per child — but
-  // never smaller than the pipeline's decode width, or a wide pool gets
-  // fork-joined over a sliver of genomes.
-  const std::size_t block = std::max<std::size_t>(
-      {4, static_cast<std::size_t>(population) / 8,
-       2 * static_cast<std::size_t>(evaluator_.pipeline_width())});
   std::size_t filled = 0;
-  std::size_t submitted = 0;
-  auto flush = [&] {
-    if (!pipelined || filled == submitted) return;
-    evaluator_.submit(
-        std::span<const Genome>(next_population_).subspan(submitted,
-                                                          filled - submitted),
-        std::span<double>(next_objectives_).subspan(submitted,
-                                                    filled - submitted));
-    submitted = filled;
-  };
 
   // Elitism: best `elites` individuals survive unchanged (all cache hits
   // when memoization is on — they were decoded last generation).
@@ -196,7 +170,6 @@ void SimpleGa::step() {
     next_population_[filled++] = population_[static_cast<std::size_t>(
         order_[static_cast<std::size_t>(e)])];
   }
-  flush();
 
   // Breeding: selection (possibly SUS batch), crossover, mutation.
   const int pairs = (bred + 1) / 2;
@@ -225,15 +198,12 @@ void SimpleGa::step() {
       config_.ops.mutation->mutate(child2, traits, rng_);
     }
     filled += has_room2 ? 2 : 1;
-    if (filled - submitted >= block) flush();
   }
 
   // Immigration ([24]): fresh random individuals.
   for (int i = 0; i < immigrants; ++i) {
     next_population_[filled++] = problem_->random_genome(rng_);
-    if (filled - submitted >= block) flush();
   }
-  flush();
   const auto breed_ns = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - breed_start)
@@ -243,11 +213,7 @@ void SimpleGa::step() {
     tracer->record("breed", tracer->now_ns() - breed_ns, breed_ns);
   }
 
-  if (pipelined) {
-    evaluator_.fence();  // the generation fence
-  } else {
-    evaluator_.evaluate(next_population_, next_objectives_);
-  }
+  evaluator_.evaluate(next_population_, next_objectives_);
   population_.swap(next_population_);
   objectives_.swap(next_objectives_);
   ++generation_;

@@ -63,8 +63,8 @@ class SimpleGa : public Engine {
   long long decode_calls() const { return evaluator_.decode_calls(); }
 
   /// The engine's evaluation path — the memetic engine routes its
-  /// local-search climbs through it so they share the cache, the async
-  /// fence and the evaluation count.
+  /// local-search climbs through it so they share the cache, the decode
+  /// metrics and the evaluation count.
   Evaluator& evaluator() { return evaluator_; }
 
   const std::vector<Genome>& population() const { return population_; }
@@ -110,10 +110,9 @@ class SimpleGa : public Engine {
 
   std::vector<Genome> population_;
   std::vector<double> objectives_;
-  /// Double buffers for the next generation: with the async pipeline the
-  /// tail of generation g+1 is still being bred while its head is being
-  /// evaluated, so both buffers must be stable until the generation
-  /// fence — only then do they swap with population_/objectives_.
+  /// Double buffers for the next generation: step() breeds into them,
+  /// evaluates them in one batch, then swaps them with
+  /// population_/objectives_, so child genomes reuse their storage.
   std::vector<Genome> next_population_;
   std::vector<double> next_objectives_;
   Genome spare_child_;  ///< discarded second child of the last odd pair
@@ -121,7 +120,7 @@ class SimpleGa : public Engine {
   std::vector<double> fitness_;
   std::vector<int> order_;
   /// engine.breed_ns: wall time of each step's breed phase (selection,
-  /// crossover, mutation, immigration, pipeline flushes).
+  /// crossover, mutation, immigration).
   obs::Histogram* breed_ns_ = nullptr;
   Genome best_;
   double best_objective_ = 0.0;

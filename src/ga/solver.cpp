@@ -22,7 +22,6 @@ EvalBackend parse_eval(const std::string& value, const std::string& token) {
   if (value == "serial") return EvalBackend::kSerial;
   if (value == "pool") return EvalBackend::kThreadPool;
   if (value == "omp") return EvalBackend::kOpenMp;
-  if (value == "async_pool" || value == "async") return EvalBackend::kAsyncPool;
   bad_token(token, "unknown eval backend");
 }
 
@@ -205,7 +204,6 @@ const char* eval_name(EvalBackend backend) {
     case EvalBackend::kSerial: return "serial";
     case EvalBackend::kThreadPool: return "pool";
     case EvalBackend::kOpenMp: return "omp";
-    case EvalBackend::kAsyncPool: return "async_pool";
   }
   return "serial";
 }
@@ -377,10 +375,17 @@ std::map<std::string, EngineEntry>& registry() {
                                           base_config(spec), pool);
                      },
                      "sequential GA (the survey's baseline model)"};
+    // The survey's master-slave model (Table III) is the simple GA with
+    // its fitness evaluation farmed out to worker lanes; it does not
+    // change the algorithm, so it is the simple engine on a parallel
+    // backend. A serial backend (the default) is promoted to the pool.
     map["master-slave"] = {
         [](ProblemPtr problem, const SolverSpec& spec, par::ThreadPool* pool) {
-          return make_master_slave_engine(std::move(problem),
-                                          base_config(spec), pool);
+          GaConfig cfg = base_config(spec);
+          if (cfg.eval_backend == EvalBackend::kSerial) {
+            cfg.eval_backend = EvalBackend::kThreadPool;
+          }
+          return make_engine(std::move(problem), std::move(cfg), pool);
         },
         "global population, parallel fitness evaluation"};
     map["cellular"] = {[](ProblemPtr problem, const SolverSpec& spec,
@@ -534,12 +539,6 @@ EnginePtr make_engine(ProblemPtr problem, GaConfig config,
                       par::ThreadPool* pool) {
   return std::make_unique<SimpleGa>(std::move(problem), std::move(config),
                                     pool);
-}
-
-EnginePtr make_master_slave_engine(ProblemPtr problem, GaConfig config,
-                                   par::ThreadPool* pool) {
-  return std::make_unique<MasterSlaveGa>(std::move(problem), std::move(config),
-                                         pool);
 }
 
 EnginePtr make_engine(ProblemPtr problem, CellularConfig config,

@@ -1,8 +1,7 @@
 // psga::obs — opt-in stage tracing.
 //
-// A Tracer is a bounded per-run buffer of completed spans (breed,
-// submit, fence, batch decode, cache filter, migration, local-search
-// climb, ...). Writers claim a slot with one atomic fetch_add and fill
+// A Tracer is a bounded per-run buffer of completed spans (generation,
+// breed, batch decode, migration, local-search climb, ...). Writers claim a slot with one atomic fetch_add and fill
 // it in place — no locks, no allocation after construction; when the
 // buffer fills, further spans are counted as dropped rather than
 // wrapping, so early-run structure survives. Span names must be string

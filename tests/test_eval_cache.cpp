@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <atomic>
 #include <list>
+#include <map>
 #include <optional>
 #include <set>
 #include <string>
@@ -677,7 +678,7 @@ TEST(EvaluatorCache, SharedAndReusedCachesReportPerRunDeltas) {
   EXPECT_EQ(second.cache->hits + second.cache->misses, second.evaluations);
 
   // Engines that rebuild their inner engine — and with it the cache —
-  // inside init() (memetic, master-slave, quantum) must not subtract a
+  // inside init() (memetic, quantum) must not subtract a
   // stale baseline when a fresh cache lands at a recycled address.
   Solver memetic = Solver::build(
       SolverSpec::parse("engine=memetic pop=12 interval=2 refine=2 budget=30 "
@@ -776,6 +777,79 @@ TEST(CacheEquivalence, TinyLruCapacityStillBitIdentical) {
   EXPECT_EQ(off.best.seq, on.best.seq);
   ASSERT_TRUE(on.cache.has_value());
   EXPECT_GT(on.cache->evictions, 0) << "capacity 8 should thrash";
+}
+
+// --- evaluation budgets: cache hits count exactly once -----------------------
+
+TEST(EvaluatorCache, EvaluationBudgetCountsCacheHitsExactlyOnce) {
+  // Regression: a cache hit must count toward the evaluation budget
+  // exactly like a decode, so the budget cuts the cached run at the same
+  // generation with an identical trace.
+  const ProblemPtr problem = flow_shop();
+  const StopCondition budget = StopCondition::evaluation_budget(95);
+  const std::string base = "engine=simple pop=10 elites=4 seed=29";
+  const RunResult reference =
+      Solver::build(SolverSpec::parse(base + " eval=serial"), problem)
+          .run(budget);
+  EXPECT_GE(reference.evaluations, 95);
+  const RunResult got =
+      Solver::build(
+          SolverSpec::parse(base + " eval=serial eval_cache=unbounded"),
+          problem)
+          .run(budget);
+  EXPECT_EQ(reference.generations, got.generations);
+  EXPECT_EQ(reference.evaluations, got.evaluations);
+  EXPECT_EQ(reference.history, got.history);
+  EXPECT_EQ(reference.best.seq, got.best.seq);
+}
+
+// --- metric identity: every evaluation is a decode or a cache hit -----------
+
+TEST(EvalMetricIdentity, DecodesPlusHitsEqualEvaluationsForEveryEngine) {
+  // Every logical evaluation is answered either by a metered decode or by
+  // a cache hit — local-search climbs (evaluate_one) included. Sizes keep
+  // each run small; an engine without an entry runs on its defaults.
+  const std::map<std::string, std::string> sizes = {
+      {"simple", " pop=20 elites=4"},
+      {"master-slave", " pop=20 elites=4"},
+      {"cellular", " width=5 height=4"},
+      {"island", " islands=3 pop=10 interval=2"},
+      {"islands-of-cellular", " islands=2 width=4 height=3 interval=2"},
+      {"quantum", " islands=2 pop=8"},
+      {"memetic", " pop=14 interval=2 refine=2 budget=40"},
+      {"cluster", " ranks=2 pop=10 interval=2"},
+  };
+  const StopCondition stop = StopCondition::generations(6);
+  const ProblemPtr problem = flow_shop();
+  for (const std::string& name : engine_names()) {
+    const auto size = sizes.find(name);
+    const std::string base = "engine=" + name + " seed=11" +
+                             (size != sizes.end() ? size->second : "");
+    for (const char* eval : {" eval=serial", " eval=pool"}) {
+      for (const char* cache : {" eval_cache=off", " eval_cache=lru:4096"}) {
+        const std::string text = base + eval + cache;
+        SCOPED_TRACE(text);
+        const RunResult r =
+            Solver::build(SolverSpec::parse(text), problem).run(stop);
+        ASSERT_TRUE(r.metrics.has_value());
+        const std::uint64_t* decoded =
+            r.metrics->counter("eval.decoded_genomes");
+        const std::uint64_t* hits = r.metrics->counter("eval.cache.hits");
+        const std::uint64_t* misses = r.metrics->counter("eval.cache.misses");
+        ASSERT_NE(decoded, nullptr);
+        ASSERT_NE(hits, nullptr);
+        ASSERT_NE(misses, nullptr);
+        const auto evaluations = static_cast<std::uint64_t>(r.evaluations);
+        EXPECT_GT(evaluations, 0u);
+        EXPECT_EQ(*decoded + *hits, evaluations);
+        if (std::string(cache) != " eval_cache=off") {
+          EXPECT_EQ(*hits + *misses, evaluations);
+        } else {
+          EXPECT_EQ(*hits + *misses, 0u);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

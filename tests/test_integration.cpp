@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include "src/ga/island_ga.h"
-#include "src/ga/master_slave_ga.h"
 #include "src/ga/problems.h"
 #include "src/ga/simple_ga.h"
 #include "src/sched/classics.h"
@@ -70,7 +69,9 @@ TEST(Integration, MasterSlaveOnLargeInstanceMatchesSerial) {
   cfg.seed = 99;
   SimpleGa serial(problem, cfg);
   par::ThreadPool pool(8);
-  MasterSlaveGa parallel(problem, cfg, &pool);
+  GaConfig master_slave = cfg;
+  master_slave.eval_backend = EvalBackend::kThreadPool;
+  SimpleGa parallel(problem, master_slave, &pool);
   const GaResult rs = serial.run();
   const GaResult rp = parallel.run();
   EXPECT_EQ(rs.history, rp.history);

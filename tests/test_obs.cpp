@@ -253,7 +253,7 @@ ga::RunResult run_observed(const std::string& text, bool obs_on,
 
 TEST(ObsDeterminism, RunResultsBitIdenticalObsOnVsOff) {
   // The contract the whole subsystem hangs on: observation never alters
-  // an evolutionary trace. Every engine × serial/async backend, same
+  // an evolutionary trace. Every engine × serial/pool backend, same
   // seed, metrics+tracing fully on vs metrics disabled and no tracer —
   // the runs must be bit-identical.
   const std::vector<std::string> engines = {
@@ -266,7 +266,7 @@ TEST(ObsDeterminism, RunResultsBitIdenticalObsOnVsOff) {
       "engine=memetic pop=12 seed=53 interval=2 budget=20",
       "engine=cluster ranks=2 pop=8 seed=55 interval=2 broadcast=4"};
   for (const std::string& engine : engines) {
-    for (const std::string& eval : {" eval=serial", " eval=async_pool"}) {
+    for (const std::string& eval : {" eval=serial", " eval=pool"}) {
       const std::string text = engine + eval;
       SCOPED_TRACE(text);
       const ga::RunResult on = run_observed(text, true, true);

@@ -74,7 +74,7 @@ SubmitOptions long_budget() {
 TEST(Service, SubmitRoundTripMatchesInProcessSolver) {
   const std::string spec =
       "problem=flowshop instance=ta001 engine=island islands=4 pop=12 "
-      "eval=async_pool seed=42";
+      "eval=pool seed=42";
   const ga::StopCondition stop = ga::StopCondition::generations(12);
   const ga::RunResult direct =
       ga::Solver::build(ga::RunSpec::parse(spec)).run(stop);

@@ -44,11 +44,13 @@ TEST(SolverFacade, SimpleMatchesDirectConstruction) {
 }
 
 TEST(SolverFacade, MasterSlaveMatchesDirectConstruction) {
+  // engine=master-slave is the simple GA on the thread pool.
   const StopCondition stop = StopCondition::generations(12);
   GaConfig cfg;
   cfg.population = 24;
   cfg.seed = 3;
-  MasterSlaveGa direct(flow_shop(), cfg);
+  cfg.eval_backend = EvalBackend::kThreadPool;
+  SimpleGa direct(flow_shop(), cfg);
   const RunResult expect = direct.run(stop);
   const RunResult got =
       Solver::build(SolverSpec::parse("engine=master-slave pop=24 seed=3"),
@@ -250,9 +252,9 @@ TEST(SolverSpecRoundTrip, CanonicalStringReparsesToTheSameSpec) {
         "engine=master-slave pop=200 eval=omp",
         "engine=cellular width=16 height=16 neighborhood=moore radius=2",
         "engine=island islands=8 topology=hypercube policy=best-random "
-        "interval=5 eval=async_pool eval_cache=lru:65536",
-        "engine=island eval_backend=async_pool eval_cache=lru:65536",
-        "engine=quantum islands=4 pop=20 eval=async_pool",
+        "interval=5 eval=pool eval_cache=lru:65536",
+        "engine=island eval_backend=pool eval_cache=lru:65536",
+        "engine=quantum islands=4 pop=20 eval=pool",
         "engine=cluster ranks=6 interval=5 broadcast=25 eval_cache=unbounded",
         "engine=memetic pop=60 interval=5 refine=2 budget=150 "
         "eval_cache=off xover-rate=0.85 mut-rate=0.15"}) {
@@ -265,10 +267,10 @@ TEST(SolverSpecRoundTrip, CanonicalStringReparsesToTheSameSpec) {
 TEST(SolverSpecRoundTrip, RandomSpecsSurviveParsePrintParse) {
   // Property-style sweep: random subsets of the whole token grammar,
   // random values, 200 draws — spec -> to_string -> parse must be the
-  // identity, including the async/cache tokens.
+  // identity, including the eval/cache tokens.
   par::Rng rng(4242);
   const std::vector<std::string> engines = engine_names();
-  const char* evals[] = {"serial", "pool", "omp", "async_pool"};
+  const char* evals[] = {"serial", "pool", "omp"};
   const char* caches[] = {"off", "unbounded", "lru:16", "lru:65536"};
   const char* topologies[] = {"ring", "grid",  "torus",     "full",
                               "star", "hypercube", "random"};
@@ -279,7 +281,7 @@ TEST(SolverSpecRoundTrip, RandomSpecsSurviveParsePrintParse) {
     if (rng.chance(0.5)) text += " pop=" + std::to_string(rng.range(2, 500));
     if (rng.chance(0.5)) text += " elites=" + std::to_string(rng.range(0, 8));
     if (rng.chance(0.5)) text += " seed=" + std::to_string(rng() >> 1);
-    if (rng.chance(0.5)) text += std::string(" eval=") + evals[rng.below(4)];
+    if (rng.chance(0.5)) text += std::string(" eval=") + evals[rng.below(3)];
     if (rng.chance(0.5)) {
       text += std::string(" eval_cache=") + caches[rng.below(4)];
     }
@@ -311,7 +313,7 @@ TEST(SolverSpecRoundTrip, RandomSpecsSurviveParsePrintParse) {
 TEST(SolverSpecRoundTrip, SpecToSolverToSpecIsTheIdentity) {
   // The full loop the satellite asks for: spec -> Solver -> spec.
   for (const char* text :
-       {"engine=simple pop=12 seed=3 eval=async_pool eval_cache=lru:512",
+       {"engine=simple pop=12 seed=3 eval=pool eval_cache=lru:512",
         "engine=island islands=2 pop=8 interval=2 eval_cache=unbounded",
         "engine=cellular width=4 height=3 eval=serial"}) {
     SCOPED_TRACE(text);
@@ -373,16 +375,16 @@ TEST(SolverSpecRoundTrip, ProgrammaticEvalCacheConfigsSurviveToString) {
                std::invalid_argument);
 }
 
-TEST(SolverSpec, EvalCacheAndAsyncTokensParse) {
+TEST(SolverSpec, EvalCacheAndBackendTokensParse) {
   const SolverSpec spec = SolverSpec::parse(
-      "engine=island eval_backend=async_pool eval_cache=lru:65536");
+      "engine=island eval_backend=pool eval_cache=lru:65536");
   ASSERT_TRUE(spec.eval.has_value());
-  EXPECT_EQ(*spec.eval, EvalBackend::kAsyncPool);
+  EXPECT_EQ(*spec.eval, EvalBackend::kThreadPool);
   ASSERT_TRUE(spec.eval_cache.has_value());
   EXPECT_EQ(spec.eval_cache->mode, EvalCacheMode::kLru);
   EXPECT_EQ(spec.eval_cache->capacity, 65536u);
-  EXPECT_EQ(*SolverSpec::parse("engine=simple eval=async").eval,
-            EvalBackend::kAsyncPool);
+  EXPECT_EQ(*SolverSpec::parse("engine=simple eval=omp").eval,
+            EvalBackend::kOpenMp);
   EXPECT_EQ(SolverSpec::parse("engine=simple eval_cache=off").eval_cache->mode,
             EvalCacheMode::kOff);
   EXPECT_EQ(
