@@ -18,14 +18,19 @@ namespace {
 using namespace psga::par;
 
 void BM_ParallelForDispatch(benchmark::State& state) {
-  ThreadPool pool(static_cast<int>(state.range(0)));
+  // One item per lane, so every helper runs a (trivial) chunk: the time
+  // per iteration is the fork-join round trip of a whole region.
+  const int threads = static_cast<int>(state.range(0));
+  ThreadPool pool(threads);
   std::atomic<int> sink{0};
   for (auto _ : state) {
-    pool.parallel_for(1, [&](std::size_t) { ++sink; });
+    pool.parallel_for(static_cast<std::size_t>(threads),
+                      [&](std::size_t) { ++sink; });
   }
+  benchmark::DoNotOptimize(sink.load());
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_ParallelForDispatch)->Arg(1)->Arg(4)->Arg(16);
+BENCHMARK(BM_ParallelForDispatch)->Arg(1)->Arg(2)->Arg(4)->Arg(16);
 
 double fake_fitness(std::uint64_t seed, int work) {
   Rng rng(seed);

@@ -4,8 +4,10 @@
 #   ./ci.sh            build, run the full ctest suite, repeat the
 #                      service/dispatch/session tests 20 times in
 #                      parallel (the flake leg), rebuild the
-#                      cache/sweep/service/golden-trace suites under
-#                      ASan/UBSan and run them, run a psga_sweep smoke
+#                      cache/sweep/service/golden-trace/thread-pool
+#                      suites under ASan/UBSan and run them, run the
+#                      pool, cache-concurrency and thread-count suites
+#                      under TSan, run a psga_sweep smoke
 #                      sweep (JSONL + summary validated), run a psgad
 #                      service smoke (submit/watch/cancel/drain over a
 #                      temp socket) and a session smoke (10-event seeded
@@ -13,13 +15,15 @@
 #                      across two runs), emit a fresh bench JSON snapshot
 #                      (bench_micro_decoders + bench_micro_cache +
 #                      bench_micro_operators + bench_session_latency
+#                      + the bench_micro_parallel fork-join rows
 #                      merged), diff it against the
 #                      committed BENCH_micro.json (per-bench deltas),
 #                      then refresh the snapshot
 #   SKIP_BENCH=1 ./ci.sh        tests only
 #   SKIP_SAN=1 ./ci.sh          skip the sanitizer leg
+#   SKIP_TSAN=1 ./ci.sh         skip the thread-sanitizer leg
 #   SKIP_BENCH_DIFF=1 ./ci.sh   snapshot without the regression gate
-#   BENCH_TOLERANCE=0.25        decode/operator/cache-bench regression threshold
+#   BENCH_TOLERANCE=0.25        decode/operator/cache/pool-bench regression threshold
 #                               (fraction)
 #
 # The JSON snapshot gives future PRs a perf trajectory: the diff prints
@@ -67,6 +71,29 @@ if [[ "${SKIP_SAN:-0}" != "1" ]]; then
     echo "ci.sh: sanitizer leg OK"
   else
     echo "psga_pipeline_tests not configured (GTest missing?); skipping sanitizer leg"
+  fi
+fi
+
+# Thread-sanitizer leg: the pool's spin-then-park fork-join, the
+# evaluation cache under concurrent batches, and the engines whose
+# traces must not depend on the pool width, rebuilt with
+# -fsanitize=thread. Every eval=omp leg stays out: libgomp is not
+# instrumented, so its barriers read as races.
+if [[ "${SKIP_TSAN:-0}" != "1" ]]; then
+  TSAN_DIR=${TSAN_DIR:-build-tsan}
+  cmake -B "$TSAN_DIR" -S . -DCMAKE_CXX_FLAGS="-fsanitize=thread -g" \
+        -DPSGA_BUILD_BENCHES=OFF -DPSGA_BUILD_EXAMPLES=OFF
+  TSAN_TARGETS=$(cmake --build "$TSAN_DIR" --target help 2>/dev/null || true)
+  if grep -q psga_pipeline_tests <<<"$TSAN_TARGETS"; then
+    cmake --build "$TSAN_DIR" -j "$JOBS" \
+          --target psga_pipeline_tests psga_tests
+    "$TSAN_DIR"/psga_pipeline_tests --gtest_brief=1 \
+      --gtest_filter='ThreadPool.*:EvalCacheConcurrency.*'
+    "$TSAN_DIR"/psga_tests --gtest_brief=1 \
+      --gtest_filter='MasterSlave.TraceIdenticalToSerialGa:IslandGa.DeterministicForSeedAcrossThreadCounts:CellularGa.IndependentOfThreadCount'
+    echo "ci.sh: thread-sanitizer leg OK"
+  else
+    echo "psga_pipeline_tests not configured (GTest missing?); skipping thread-sanitizer leg"
   fi
 fi
 
@@ -456,6 +483,26 @@ with open(sys.argv[1], "w") as f:
 PYEOF
   fi
 
+  # Appends the median aggregates of google-benchmark JSON $2 to the
+  # snapshot $1, under their plain bench names.
+  merge_medians() {
+    python3 - "$1" "$2" <<'PYEOF'
+import json
+import sys
+
+with open(sys.argv[1]) as f:
+    merged = json.load(f)
+with open(sys.argv[2]) as f:
+    benches = json.load(f)["benchmarks"]
+medians = [b for b in benches if b.get("aggregate_name") == "median"]
+for b in medians:
+    b["name"] = b["name"].removesuffix("_median")
+merged["benchmarks"].extend(medians)
+with open(sys.argv[1], "w") as f:
+    json.dump(merged, f, indent=1)
+PYEOF
+  }
+
   # Merge the cache bench into the same snapshot so the
   # hit-rate/decode-reduction counters live in BENCH_micro.json. Medians
   # of 5: the BM_Cache* rows (the cache layer itself) are gated.
@@ -468,21 +515,7 @@ PYEOF
       --benchmark_format=json \
       --benchmark_out="$CACHE_FRESH" \
       --benchmark_out_format=json >/dev/null
-    python3 - "$FRESH" "$CACHE_FRESH" <<'PYEOF'
-import json
-import sys
-
-with open(sys.argv[1]) as f:
-    merged = json.load(f)
-with open(sys.argv[2]) as f:
-    cache = json.load(f)["benchmarks"]
-medians = [b for b in cache if b.get("aggregate_name") == "median"]
-for b in medians:
-    b["name"] = b["name"].removesuffix("_median")
-merged["benchmarks"].extend(medians)
-with open(sys.argv[1], "w") as f:
-    json.dump(merged, f, indent=1)
-PYEOF
+    merge_medians "$FRESH" "$CACHE_FRESH"
     rm -f "$CACHE_FRESH"
   fi
 
@@ -500,22 +533,29 @@ PYEOF
       --benchmark_format=json \
       --benchmark_out="$OPS_FRESH" \
       --benchmark_out_format=json >/dev/null
-    python3 - "$FRESH" "$OPS_FRESH" <<'PYEOF'
-import json
-import sys
-
-with open(sys.argv[1]) as f:
-    merged = json.load(f)
-with open(sys.argv[2]) as f:
-    operators = json.load(f)["benchmarks"]
-medians = [b for b in operators if b.get("aggregate_name") == "median"]
-for b in medians:
-    b["name"] = b["name"].removesuffix("_median")
-merged["benchmarks"].extend(medians)
-with open(sys.argv[1], "w") as f:
-    json.dump(merged, f, indent=1)
-PYEOF
+    merge_medians "$FRESH" "$OPS_FRESH"
     rm -f "$OPS_FRESH"
+  fi
+
+  # Fork-join snapshot: BM_ParallelForDispatch times one region with one
+  # item per lane (every helper woken and joined), and
+  # BM_EvaluatorJobShopBatch/2 a whole ft10 population on a 2-lane
+  # pool. Medians-of-5 ride into BENCH_micro.json under the same >25%
+  # drift-normalised gate.
+  PAR_FILTER='^BM_(ParallelForDispatch/[0-9]+|EvaluatorJobShopBatch/2)$'
+  if [[ -x "$BUILD_DIR/bench_micro_parallel" ]] \
+     && command -v python3 >/dev/null; then
+    PAR_FRESH=$(mktemp /tmp/psga_bench_par.XXXXXX.json)
+    "$BUILD_DIR"/bench_micro_parallel \
+      --benchmark_filter="$PAR_FILTER" \
+      --benchmark_min_time=0.05 \
+      --benchmark_repetitions=5 \
+      --benchmark_report_aggregates_only=true \
+      --benchmark_format=json \
+      --benchmark_out="$PAR_FRESH" \
+      --benchmark_out_format=json >/dev/null
+    merge_medians "$FRESH" "$PAR_FRESH"
+    rm -f "$PAR_FRESH"
   fi
 
   # Session event-latency snapshot: bench_session_latency reports the
@@ -533,21 +573,7 @@ PYEOF
       --benchmark_format=json \
       --benchmark_out="$SES_FRESH" \
       --benchmark_out_format=json >/dev/null
-    python3 - "$FRESH" "$SES_FRESH" <<'PYEOF'
-import json
-import sys
-
-with open(sys.argv[1]) as f:
-    merged = json.load(f)
-with open(sys.argv[2]) as f:
-    session = json.load(f)["benchmarks"]
-medians = [b for b in session if b.get("aggregate_name") == "median"]
-for b in medians:
-    b["name"] = b["name"].removesuffix("_median")
-merged["benchmarks"].extend(medians)
-with open(sys.argv[1], "w") as f:
-    json.dump(merged, f, indent=1)
-PYEOF
+    merge_medians "$FRESH" "$SES_FRESH"
     rm -f "$SES_FRESH"
   fi
 
@@ -602,21 +628,7 @@ PYEOF
     fi
     # The primitive-cost benches ride into BENCH_micro.json with the
     # other micro suites (median aggregates, plain names).
-    python3 - "$FRESH" "$OBS_FRESH" <<'PYEOF'
-import json
-import sys
-
-with open(sys.argv[1]) as f:
-    merged = json.load(f)
-with open(sys.argv[2]) as f:
-    obs = json.load(f)["benchmarks"]
-medians = [b for b in obs if b.get("aggregate_name") == "median"]
-for b in medians:
-    b["name"] = b["name"].removesuffix("_median")
-merged["benchmarks"].extend(medians)
-with open(sys.argv[1], "w") as f:
-    json.dump(merged, f, indent=1)
-PYEOF
+    merge_medians "$FRESH" "$OBS_FRESH"
     rm -f "$OBS_FRESH"
   fi
 
@@ -688,13 +700,14 @@ for name, bench in fresh.items():
     normalized = bench["real_time"] / old["real_time"] / drift - 1.0
     # The regression gate covers the decoder benches (the evaluation hot
     # path this snapshot exists to guard), the breed-layer operator
-    # benches, the cache-layer benches and the session event-latency
-    # p95s; *_Scratch twins included.
+    # benches, the cache-layer benches, the session event-latency
+    # p95s and the pool fork-join rows; *_Scratch twins included.
     gated = any(tag in name for tag in
                 ("Decode", "SemiActive", "GifflerThompson", "Makespan",
                  "Flexible", "LotStreaming", "OpenShop", "HybridFlowShop",
                  "SessionEvent", "BM_Crossover/", "BM_Mutation/",
-                 "BM_Selection/", "BM_Cache"))
+                 "BM_Selection/", "BM_Cache", "BM_ParallelForDispatch/",
+                 "BM_EvaluatorJobShopBatch/2"))
     marker = ""
     if only and name not in only:
         gated = False
@@ -783,6 +796,19 @@ PYEOF
             --benchmark_repetitions=3 \
             --benchmark_format=json \
             --benchmark_out="$CACHE_RETRY" \
+            --benchmark_out_format=json >/dev/null
+        fi
+        # And the pool fork-join benches.
+        if grep -qE '^BM_(ParallelForDispatch|EvaluatorJobShopBatch)/' \
+             "$GATE_FAILS" && [[ -x "$BUILD_DIR/bench_micro_parallel" ]]; then
+          PAR_RETRY=$(mktemp "/tmp/psga_bench_pretry.${attempt}.XXXXXX.json")
+          RETRY_FILES+=("$PAR_RETRY")
+          "$BUILD_DIR"/bench_micro_parallel \
+            --benchmark_filter="$FILTER" \
+            --benchmark_min_time=0.05 \
+            --benchmark_repetitions=3 \
+            --benchmark_format=json \
+            --benchmark_out="$PAR_RETRY" \
             --benchmark_out_format=json >/dev/null
         fi
       done

@@ -153,7 +153,7 @@ Evaluator& Evaluator::operator=(Evaluator&&) noexcept = default;
 
 template <typename Decode>
 void Evaluator::metered_decode(std::size_t count, Decode&& decode) {
-  decode_calls_ += static_cast<long long>(count);
+  count_decodes(count);
   if (decode_ns_ == nullptr && tracer_ == nullptr) {
     decode();
     return;
@@ -161,14 +161,22 @@ void Evaluator::metered_decode(std::size_t count, Decode&& decode) {
   const obs::Span span(tracer_.get(), "decode");
   const auto start = std::chrono::steady_clock::now();
   decode();
-  if (decode_ns_ != nullptr) {
-    decode_ns_->record(static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - start)
-            .count()));
-    batch_size_hist_->record(count);
-    decoded_genomes_->add(count);
-  }
+  record_batch(count, start);
+}
+
+void Evaluator::count_decodes(std::size_t count) {
+  decode_calls_ += static_cast<long long>(count);
+  if (decoded_genomes_ != nullptr) decoded_genomes_->add(count);
+}
+
+void Evaluator::record_batch(std::size_t count,
+                             std::chrono::steady_clock::time_point start) {
+  if (decode_ns_ == nullptr) return;
+  decode_ns_->record(static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count()));
+  batch_size_hist_->record(count);
 }
 
 void Evaluator::raw_evaluate(std::span<const Genome> genomes,
@@ -242,20 +250,17 @@ void Evaluator::evaluate(std::span<const Genome> genomes,
 
 double Evaluator::evaluate_one(const Genome& genome) {
   ++evaluations_;
-  double objective = 0.0;
   if (cache_ == nullptr) {
-    metered_decode(1, [&] {
-      objective = problem_->objective(genome, workspace(0));
-    });
-    return objective;
+    count_decodes(1);
+    return problem_->objective(genome, workspace(0));
   }
+  double objective = 0.0;
   if (filter_misses(*cache_, hash_salt_, {&genome, 1}, {&objective, 1},
                     *misses_) == 0) {
     return objective;
   }
-  metered_decode(1, [&] {
-    misses_->values[0] = problem_->objective(genome, workspace(0));
-  });
+  count_decodes(1);
+  misses_->values[0] = problem_->objective(genome, workspace(0));
   publish_misses(cache_.get(), *misses_);
   return objective;
 }

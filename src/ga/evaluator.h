@@ -31,6 +31,7 @@
 // parallel) give each inner engine its own serial Evaluator instead.
 #pragma once
 
+#include <chrono>
 #include <memory>
 #include <span>
 #include <vector>
@@ -75,8 +76,29 @@ class Evaluator {
 
   /// Single-genome convenience on lane 0's Workspace (local search, B&B
   /// comparisons). Counts toward evaluations() and, when decoded, toward
-  /// the same decode metrics as evaluate().
+  /// decode_calls() and eval.decoded_genomes at once. Its decode time is
+  /// metered only inside metered_singles.
   double evaluate_one(const Genome& genome);
+
+  /// Runs `run`, which may call evaluate_one any number of times, and
+  /// meters the single decodes it makes as one decode batch: one decode
+  /// span, one eval.decode_ns sample (run's whole wall time, so cache
+  /// lookups between decodes included) and one eval.batch_size sample
+  /// (the decodes made; none when run decoded nothing). A local-search
+  /// climb pays two clock reads instead of two per genome.
+  template <typename Run>
+  void metered_singles(Run&& run) {
+    if (decode_ns_ == nullptr && tracer_ == nullptr) {
+      run();
+      return;
+    }
+    const long long decoded_before = decode_calls_;
+    const obs::Span span(tracer_.get(), "decode");
+    const auto start = std::chrono::steady_clock::now();
+    run();
+    const long long decoded = decode_calls_ - decoded_before;
+    if (decoded > 0) record_batch(static_cast<std::size_t>(decoded), start);
+  }
 
   /// Attaches (or clears) the memoization cache. The cache may be shared
   /// with other evaluators.
@@ -96,9 +118,12 @@ class Evaluator {
 
   /// Attaches the observability sinks (both may be null). Handles into
   /// `metrics` are resolved once, here — the hot path then costs two
-  /// clock reads plus a few relaxed adds per *batch*, never per genome.
+  /// clock reads plus a few relaxed adds per *batch*. evaluate_one pays
+  /// one relaxed add per decode and no clock read; metered_singles meters
+  /// a run of them as one batch.
   /// Metric names: eval.decode_ns / eval.batch_size / eval.decoded_genomes
-  /// on every decode batch (evaluate_one's single decode included).
+  /// on every decode batch (a metered_singles run is one batch);
+  /// eval.decoded_genomes on every evaluate_one decode.
   /// Span: decode.
   void set_obs(obs::RegistryPtr metrics, std::shared_ptr<obs::Tracer> tracer);
   const EvalCache* cache() const { return cache_.get(); }
@@ -125,12 +150,18 @@ class Evaluator {
 
  private:
   Workspace& workspace(std::size_t lane) { return *workspaces_[lane]; }
-  /// The one metered decode: runs `decode` (which decodes `count`
+  /// The metered batch decode: runs `decode` (which decodes `count`
   /// genomes) under the decode span, eval.decode_ns / eval.batch_size /
-  /// eval.decoded_genomes and decode_calls(). Both the batch path and
-  /// evaluate_one's single decode go through it.
+  /// eval.decoded_genomes and decode_calls().
   template <typename Decode>
   void metered_decode(std::size_t count, Decode&& decode);
+  /// Adds `count` decodes to decode_calls() and eval.decoded_genomes.
+  void count_decodes(std::size_t count);
+  /// Records one eval.decode_ns sample (since `start`) and one
+  /// eval.batch_size sample of `count`; nothing when no registry is
+  /// attached.
+  void record_batch(std::size_t count,
+                    std::chrono::steady_clock::time_point start);
   /// Backend dispatch without cache filtering or metering.
   void raw_evaluate(std::span<const Genome> genomes,
                     std::span<double> objectives);

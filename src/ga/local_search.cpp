@@ -56,9 +56,13 @@ double local_search_swap(const Problem& problem, Genome& genome,
 
 double local_search_swap(Evaluator& evaluator, Genome& genome,
                          int max_evaluations, par::Rng& rng) {
-  return climb_swap(
-      [&](const Genome& g) { return evaluator.evaluate_one(g); }, genome,
-      max_evaluations, rng);
+  double best = 0.0;
+  evaluator.metered_singles([&] {
+    best = climb_swap(
+        [&](const Genome& g) { return evaluator.evaluate_one(g); }, genome,
+        max_evaluations, rng);
+  });
+  return best;
 }
 
 void redirect(Genome& genome, par::Rng& rng) {

@@ -20,8 +20,9 @@ double local_search_swap(const Problem& problem, Genome& genome,
 
 /// Same climb, but every objective goes through `evaluator` — so climbs
 /// are counted toward evaluation budgets exactly like GA evaluations,
-/// memoized by the evaluation cache, and metered as decodes. The memetic
-/// engine uses this overload.
+/// memoized by the evaluation cache, and metered as one decode batch per
+/// climb (Evaluator::metered_singles). The memetic engine uses this
+/// overload.
 double local_search_swap(Evaluator& evaluator, Genome& genome,
                          int max_evaluations, par::Rng& rng);
 

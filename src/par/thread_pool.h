@@ -7,12 +7,30 @@
 // so the mapping from loop index to worker is deterministic; combined with
 // per-index Rng streams this keeps every engine's output independent of
 // the worker count.
+//
+// Fork-join is spin-then-park on two atomics, with no mutex. The caller
+// writes the helpers' tasks, sets `pending_` to the helper count and bumps
+// `generation_` with release order; a helper that loads the new generation
+// with acquire order therefore sees its task, runs it, and decrements
+// `pending_` with release order, so the caller's acquire load of
+// `pending_ == 0` sees everything the helpers wrote. Both waits — helpers
+// for the next generation, the caller for `pending_ == 0` — first spin for
+// kSpinBudget and only then park on std::atomic::wait (a futex). A spin
+// executes `pause`; every 64 spins it reads the clock and yields, so on an
+// oversubscribed host a spinner hands its CPU to the thread it is waiting
+// for instead of holding it for the whole budget. Engines fork-join every
+// few hundred microseconds, so most regions start and end without a
+// futex call; an idle pool parks within kSpinBudget of its last region.
+//
+// Not re-entrant: one region at a time per pool, started by one caller
+// thread at a time. fn must not call back into the same pool.
 #pragma once
 
-#include <condition_variable>
+#include <atomic>
+#include <chrono>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -20,6 +38,10 @@ namespace psga::par {
 
 class ThreadPool {
  public:
+  /// How long a helper waiting for work, or a caller waiting for its
+  /// helpers, spins before it parks.
+  static constexpr std::chrono::microseconds kSpinBudget{50};
+
   /// Creates `threads` workers; values < 1 are clamped to 1. A pool of one
   /// thread executes everything inline on the caller.
   explicit ThreadPool(int threads = -1);
@@ -59,14 +81,11 @@ class ThreadPool {
 
   void worker_loop(std::size_t worker_index);
 
-  std::vector<std::thread> workers_;
-  std::mutex mutex_;
-  std::condition_variable wake_;
-  std::condition_variable done_;
-  std::vector<Task> tasks_;      // one slot per worker thread
-  std::size_t generation_ = 0;   // bumped per parallel region
-  std::size_t pending_ = 0;
-  bool stop_ = false;
+  std::vector<Task> tasks_;  // one slot per helper thread
+  bool stop_ = false;        // written before the destructor's generation bump
+  std::atomic<std::uint32_t> generation_{0};  // bumped per parallel region
+  std::atomic<std::uint32_t> pending_{0};     // helpers yet to acknowledge
+  std::vector<std::thread> workers_;          // last: threads use the above
 };
 
 /// Library-wide default pool (sized from PSGA_THREADS). Engines take an

@@ -58,6 +58,34 @@ TEST(LocalSearch, WorksOnRepetitionChromosomes) {
   EXPECT_TRUE(genome_valid(g, problem->traits()));
 }
 
+TEST(LocalSearch, EvaluatorClimbIsMeteredAsOneBatch) {
+  // Each single decode is counted at once; the climb's time and size
+  // are recorded as one eval.decode_ns / eval.batch_size sample.
+  auto problem = std::make_shared<FlowShopProblem>(
+      sched::make_taillard(sched::taillard_20x5().front()));
+  auto metrics = std::make_shared<obs::Registry>();
+  Evaluator evaluator(problem);
+  evaluator.set_obs(metrics, nullptr);
+  par::Rng rng(5);
+  for (int climb = 0; climb < 3; ++climb) {
+    Genome g = problem->random_genome(rng);
+    local_search_swap(evaluator, g, 50, rng);
+  }
+  const obs::MetricsSnapshot snapshot = metrics->snapshot();
+  const std::uint64_t* decoded = snapshot.counter("eval.decoded_genomes");
+  const obs::HistogramSnapshot* decode_ns =
+      snapshot.histogram("eval.decode_ns");
+  const obs::HistogramSnapshot* batch = snapshot.histogram("eval.batch_size");
+  ASSERT_NE(decoded, nullptr);
+  ASSERT_NE(decode_ns, nullptr);
+  ASSERT_NE(batch, nullptr);
+  EXPECT_EQ(*decoded, static_cast<std::uint64_t>(evaluator.decode_calls()));
+  EXPECT_EQ(evaluator.decode_calls(), evaluator.evaluations());
+  EXPECT_EQ(decode_ns->count, 3u);
+  EXPECT_EQ(batch->count, 3u);
+  EXPECT_EQ(batch->sum, *decoded);
+}
+
 TEST(Redirect, PreservesMultiset) {
   par::Rng rng(5);
   Genome g;
